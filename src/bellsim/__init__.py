@@ -18,6 +18,7 @@ from .chsh import (
     chsh_quantum,
     chsh_value,
     correlator_table,
+    horodecki_max_s,
     optimize_settings,
     optimize_settings_traced,
     quantum_correlator,

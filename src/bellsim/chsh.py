@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import ComplexMatrix, matmul, tensor_product, trace
 from .observables import (
@@ -20,7 +19,6 @@ from .observables import (
     Z_AXIS,
     from_polar,
     spin_observable,
-    to_polar,
 )
 from .states import DensityMatrix, make_werner
 
@@ -82,7 +80,7 @@ class CorrelatorTable:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if abs(value) > 1.0 + _CORRELATOR_SLACK:
+            if not abs(value) <= 1.0 + _CORRELATOR_SLACK:
                 raise ValueError(f"correlator {name}={value!r} outside [-1, 1]")
 
     def as_dict(self) -> dict:
@@ -157,20 +155,47 @@ def tsirelson_check(results: Iterable[ChshResult]) -> bool:
 # --- settings search -------------------------------------------------------
 #
 # For any two-qubit state the correlator is bilinear in the directions:
-# E(a, b) = a . (T b) with T_ij the correlator along the coordinate axes.
-# The search below evaluates that surrogate (exact by linearity), and the
-# final result is re-evaluated through the full Born-rule path.
+# E(a, b) = a . (T b) with T_ij the correlator along the coordinate axes, so
+# S = a1 . T(b1 + b2) + a2 . T(b1 - b2) is linear in each direction and the
+# best direction given the other three is a normalized vector (the see-saw
+# method of Liang & Doherty, PRA 75, 042103, 2007). The search runs on T; the
+# final result is re-evaluated through the full Born-rule path and compared
+# with the closed-form maximum of Horodecki, Horodecki & Horodecki,
+# Phys. Lett. A 200, 340 (1995).
+
+SEE_SAW_TOL = 1e-12
+SEE_SAW_MAX_SWEEPS = 2000
+MAX_RANDOM_STARTS = 10_000  # all starts advance together, so memory grows with their number
+_ZERO_NORM = 1e-13  # relative to max |T_ij|; well above the rounding noise of a Born-rule T
 
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Bookkeeping for one settings search."""
+    """Bookkeeping for one settings search.
+
+    ``sweeps`` counts see-saw sweeps (all starts advance together), each of
+    which updates the four directions of every start. ``optimality_gap`` is
+    :func:`horodecki_max_s` minus the returned S. ``grid_evaluations`` (always
+    0) and ``refine_evaluations`` (equal to ``updates``) keep the names the
+    earlier grid plus Nelder-Mead search used.
+    """
 
     starts: int
-    grid_sweeps: int
-    grid_evaluations: int
-    refine_evaluations: int
+    sweeps: int
     surrogate_s: float
+    optimality_gap: float
+
+    @property
+    def updates(self) -> int:
+        return 4 * self.starts * self.sweeps
+
+    @property
+    def grid_evaluations(self) -> int:
+        return 0
+
+    @property
+    def refine_evaluations(self) -> int:
+        return self.updates
 
 
 def _correlation_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -179,140 +204,91 @@ def _correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     return np.array([[quantum_correlator(rho, oa, ob) for ob in obs] for oa in obs])
 
 
-def _grid_directions(theta_divisions: int, phi_divisions: int) -> np.ndarray:
-    thetas = np.linspace(0.0, np.pi, theta_divisions)
-    phis = np.linspace(0.0, 2.0 * np.pi, phi_divisions, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    st = np.sin(tt)
-    grid = np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
-    return grid.reshape(-1, 3)
+def _horodecki(t_mat: np.ndarray) -> float:
+    s = np.linalg.svd(t_mat, compute_uv=False)
+    return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
 
 
-def _surrogate_s(t_mat: np.ndarray, vecs: np.ndarray) -> float:
-    a1, a2, b1, b2 = vecs
-    return float(a1 @ (t_mat @ (b1 + b2)) + a2 @ (t_mat @ (b1 - b2)))
+def horodecki_max_s(rho: DensityMatrix) -> float:
+    """Closed-form max |S| over all settings: 2*sqrt(s1^2 + s2^2).
 
-
-def _angles_to_vecs(x: np.ndarray) -> np.ndarray:
-    # sin/cos of unconstrained angles still give exact unit vectors
-    t, p = x[0::2], x[1::2]
-    st = np.sin(t)
-    return np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)], axis=-1)
-
-
-def _vecs_to_angles(vecs: np.ndarray) -> np.ndarray:
-    out = []
-    for v in vecs:
-        ang = to_polar(UnitVector3(*(v / np.linalg.norm(v))))
-        out.extend([ang.theta, ang.phi])
-    return np.array(out)
-
-
-def _grid_ascend(t_mat: np.ndarray, grid: np.ndarray, vecs: np.ndarray, max_sweeps: int = 60):
-    """Alternating per-direction grid maximization of |S|.
-
-    S is linear in each direction separately, so scanning one direction's
-    whole grid while the other three are held fixed is a monotone ascent step.
+    ``s1 >= s2`` are the two largest singular values of the correlation
+    tensor T (Horodecki, Horodecki & Horodecki, 1995). Independent of the
+    see-saw search, so it certifies :func:`optimize_settings`.
     """
-    vecs = vecs.copy()
-    best = abs(_surrogate_s(t_mat, vecs))
-    sweeps = 0
-    evaluations = 0
-    for _ in range(max_sweeps):
-        sweeps += 1
-        improved = False
-        for idx in range(4):
-            a1, a2, b1, b2 = vecs
-            if idx == 0:
-                lin, const = t_mat @ (b1 + b2), a2 @ (t_mat @ (b1 - b2))
-            elif idx == 1:
-                lin, const = t_mat @ (b1 - b2), a1 @ (t_mat @ (b1 + b2))
-            elif idx == 2:
-                lin, const = t_mat.T @ (a1 + a2), (a1 - a2) @ (t_mat @ b2)
-            else:
-                lin, const = t_mat.T @ (a1 - a2), (a1 + a2) @ (t_mat @ b1)
-            scores = np.abs(grid @ lin + const)
-            evaluations += scores.size
-            k = int(np.argmax(scores))
-            if scores[k] > best + 1e-12:
-                vecs[idx] = grid[k]
-                best = float(scores[k])
-                improved = True
-        if not improved:
+    return _horodecki(_correlation_matrix(rho))
+
+
+def _sum_diff(pair: np.ndarray) -> np.ndarray:
+    """(v1 + v2, v1 - v2) for a pair of directions stacked on the first axis."""
+    return np.stack((pair[0] + pair[1], pair[0] - pair[1]))
+
+
+def _see_saw_step(t_mat: np.ndarray, old: np.ndarray, other: np.ndarray, floor: float) -> np.ndarray:
+    """Best pair of one party's directions given the other party's pair.
+
+    ``old`` and ``other`` have shape (2, starts, 3). For A this is
+    a1 = T(b1 + b2)/|.| and a2 = T(b1 - b2)/|.|; pass ``t_mat.T`` for B. A
+    target with norm at most ``floor`` (T = 0 for white noise) keeps the old
+    direction, since every direction is then equally good.
+    """
+    target = _sum_diff(other) @ t_mat.T
+    norms = np.linalg.norm(target, axis=-1, keepdims=True)
+    keep = norms <= floor
+    return np.where(keep, old, target / np.where(keep, 1.0, norms))
+
+
+def _see_saw(t_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Alternate the exact A and B updates until no direction moves by more than 1e-12."""
+    floor = _ZERO_NORM * float(np.abs(t_mat).max())
+    for sweep in range(1, SEE_SAW_MAX_SWEEPS + 1):
+        new_a = _see_saw_step(t_mat, a, b, floor)
+        new_b = _see_saw_step(t_mat.T, b, new_a, floor)
+        moved = max(float(np.abs(new_a - a).max()), float(np.abs(new_b - b).max()))
+        a, b = new_a, new_b
+        if moved <= SEE_SAW_TOL:
             break
-    return vecs, best, sweeps, evaluations
+    return a, b, sweep
 
 
 def optimize_settings_traced(
     rho: DensityMatrix,
     *,
-    theta_divisions: int = 24,
-    phi_divisions: int = 48,
     random_starts: int = 3,
     seed: int = 0,
-    refine_tol: float = 1e-8,
 ) -> tuple[ChshResult, OptimizationTrace]:
     """Maximize |S| over the four directions and report search diagnostics.
 
-    Two stages: an alternating coarse-grid ascent (theta x phi grid per
-    direction) from one fixed and ``random_starts`` random starting
-    configurations, then Nelder-Mead refinement of the eight polar angles.
-    The best settings are re-evaluated through the Born rule, and the result
-    is canonicalized to S >= 0 (negating both of B's directions flips the
-    sign of S, so this loses nothing).
+    See-saw from one fixed and ``random_starts`` random starting
+    configurations (``default_rng(seed)``), at most 2000 sweeps. The best
+    settings are re-evaluated through the Born rule, and the result is
+    canonicalized to S >= 0 (negating both of B's directions flips the sign of
+    S, so this loses nothing).
     """
-    if theta_divisions < 2 or phi_divisions < 1:
-        raise ValueError("grid needs at least 2 theta divisions and 1 phi division")
+    if not 0 <= random_starts <= MAX_RANDOM_STARTS:
+        raise ValueError(f"random_starts must be in [0, {MAX_RANDOM_STARTS}], got {random_starts}")
     t_mat = _correlation_matrix(rho)
-    grid = _grid_directions(theta_divisions, phi_divisions)
     rng = np.random.default_rng(seed)
 
     starts = [np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])]
     for _ in range(random_starts):
         raw = rng.normal(size=(4, 3))
         starts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    vecs = np.stack(starts, axis=1)  # (a1, a2, b1, b2) x start x xyz
 
-    best_vecs = starts[0]
-    best_abs = -1.0
-    sweeps_total = 0
-    grid_evals = 0
-    refine_evals = 0
-    for start in starts:
-        vecs, score, sweeps, evals = _grid_ascend(t_mat, grid, start)
-        sweeps_total += sweeps
-        grid_evals += evals
+    a, b, sweeps = _see_saw(t_mat, vecs[:2], vecs[2:])
+    surrogate = np.sum(a * (_sum_diff(b) @ t_mat.T), axis=(0, 2))
+    best = int(np.argmax(surrogate))
 
-        def objective(x: np.ndarray) -> float:
-            return -abs(_surrogate_s(t_mat, _angles_to_vecs(x)))
-
-        res = minimize(
-            objective,
-            _vecs_to_angles(vecs),
-            method="Nelder-Mead",
-            options={
-                "xatol": refine_tol * 1e-1,
-                "fatol": refine_tol * 1e-2,
-                "maxiter": 6000,
-                "maxfev": 6000,
-            },
-        )
-        refine_evals += int(res.nfev)
-        if -res.fun > score:
-            vecs, score = _angles_to_vecs(res.x), -float(res.fun)
-        if score > best_abs:
-            best_abs, best_vecs = score, vecs
-
-    directions = [UnitVector3(*(v / np.linalg.norm(v))) for v in best_vecs]
-    settings = MeasurementSettings(*directions)
+    settings = MeasurementSettings(*(UnitVector3(*v) for v in (a[0, best], a[1, best], b[0, best], b[1, best])))
     result = chsh_quantum(rho, settings)
     if result.s_value < 0.0:
         result = chsh_quantum(rho, settings.flip_b())
     trace_info = OptimizationTrace(
         starts=len(starts),
-        grid_sweeps=sweeps_total,
-        grid_evaluations=grid_evals,
-        refine_evaluations=refine_evals,
-        surrogate_s=best_abs,
+        sweeps=sweeps,
+        surrogate_s=float(surrogate[best]),
+        optimality_gap=_horodecki(t_mat) - result.s_value,
     )
     return result, trace_info
 

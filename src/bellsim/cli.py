@@ -17,7 +17,6 @@ from .chsh import (
     chsh_quantum,
     correlator_table,
     chsh_value,
-    optimize_settings,
     optimize_settings_traced,
     settings_from_polar,
     singlet_optimal_settings,
@@ -59,8 +58,6 @@ _DEFAULTS = {
     "format": "json",
     "seed": 0,
     "state": "singlet",
-    "theta_divisions": 24,
-    "phi_divisions": 48,
     "restarts": 3,
     "p_min": 0.0,
     "p_max": 1.0,
@@ -77,8 +74,6 @@ _CONFIG_KEYS = frozenset(
         "preset",
         "trials",
         "trial_log",
-        "theta_divisions",
-        "phi_divisions",
         "restarts",
         "p_min",
         "p_max",
@@ -100,8 +95,6 @@ class RunConfig:
     angles: tuple[tuple[float, float], ...] | None = None
     trials: int | None = None
     trial_log: Path | None = None
-    theta_divisions: int = 24
-    phi_divisions: int = 48
     restarts: int = 3
     p_min: float = 0.0
     p_max: float = 1.0
@@ -207,25 +200,29 @@ def _config_for(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         fmt=fmt,
         out=Path(out) if out is not None else None,
-        seed=int(_resolve(args, config, "seed")),
+        seed=_resolve_int(args, config, "seed"),
         state=_resolve(args, config, "state"),
         preset=_resolve(args, config, "preset"),
         angles=_collect_angles(args) if hasattr(args, "a1") else None,
-        trials=_maybe_int(_resolve(args, config, "trials")),
+        trials=_resolve_int(args, config, "trials"),
         trial_log=Path(trial_log) if trial_log is not None else None,
-        theta_divisions=int(_resolve(args, config, "theta_divisions")),
-        phi_divisions=int(_resolve(args, config, "phi_divisions")),
-        restarts=int(_resolve(args, config, "restarts")),
+        restarts=_resolve_int(args, config, "restarts"),
         p_min=float(_resolve(args, config, "p_min")),
         p_max=float(_resolve(args, config, "p_max")),
-        points=int(_resolve(args, config, "points")),
+        points=_resolve_int(args, config, "points"),
         exhaustive=bool(getattr(args, "exhaustive", False)),
         weights=tuple(args.weights) if getattr(args, "weights", None) is not None else None,
     )
 
 
-def _maybe_int(value) -> int | None:
-    return None if value is None else int(value)
+def _resolve_int(args: argparse.Namespace, config: dict, key: str) -> int | None:
+    """An integer option; a config value such as 1.9 is refused, not truncated."""
+    value = _resolve(args, config, key)
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 # --- report plumbing ----------------------------------------------------------
@@ -348,20 +345,12 @@ def _run_chsh(cfg: RunConfig):
 
 def _run_optimize(cfg: RunConfig):
     rho = parse_state_spec(cfg.state)
-    result, trace_info = optimize_settings_traced(
-        rho,
-        theta_divisions=cfg.theta_divisions,
-        phi_divisions=cfg.phi_divisions,
-        random_starts=cfg.restarts,
-        seed=cfg.seed,
-    )
+    result, trace_info = optimize_settings_traced(rho, random_starts=cfg.restarts, seed=cfg.seed)
     report = {
         "command": "optimize",
         "inputs": {
             "state": cfg.state,
             "seed": cfg.seed,
-            "theta_divisions": cfg.theta_divisions,
-            "phi_divisions": cfg.phi_divisions,
             "restarts": cfg.restarts,
         },
         "results": {
@@ -373,10 +362,10 @@ def _run_optimize(cfg: RunConfig):
         },
         "diagnostics": {
             "starts": trace_info.starts,
-            "grid_sweeps": trace_info.grid_sweeps,
-            "grid_evaluations": trace_info.grid_evaluations,
-            "refine_evaluations": trace_info.refine_evaluations,
+            "sweeps": trace_info.sweeps,
+            "updates": trace_info.updates,
             "surrogate_s": trace_info.surrogate_s,
+            "optimality_gap": trace_info.optimality_gap,
         },
     }
     human = [f"optimize  state={cfg.state}"]
@@ -386,8 +375,8 @@ def _run_optimize(cfg: RunConfig):
         ang = to_polar(v)
         human.append(f"{name}: theta = {_fmt9(ang.theta)}, phi = {_fmt9(ang.phi)}")
     human.append(
-        f"search: {trace_info.starts} starts, {trace_info.grid_sweeps} grid sweeps, "
-        f"{trace_info.refine_evaluations} refinement evaluations"
+        f"search: {trace_info.starts} starts, {trace_info.sweeps} see-saw sweeps, "
+        f"gap to the Horodecki maximum {trace_info.optimality_gap:.3g}"
     )
     return report, human, None
 
@@ -397,29 +386,19 @@ def _run_werner_sweep(cfg: RunConfig):
         raise ValueError(f"sweep needs at least 2 points, got {cfg.points}")
     if not (-1.0 / 3.0 <= cfg.p_min < cfg.p_max <= 1.0):
         raise ValueError(f"sweep range [{cfg.p_min}, {cfg.p_max}] must sit inside [-1/3, 1]")
-    optimizer_kwargs = dict(
-        theta_divisions=cfg.theta_divisions,
-        phi_divisions=cfg.phi_divisions,
-        random_starts=cfg.restarts,
-        seed=cfg.seed,
-    )
+    optimizer_kwargs = dict(random_starts=cfg.restarts, seed=cfg.seed)
+    gaps = []
 
-    def max_s(p: float) -> float:
-        return optimize_settings(make_werner(p), **optimizer_kwargs).s_value
+    def optimized_row(p: float) -> dict:
+        result, trace_info = optimize_settings_traced(make_werner(p), **optimizer_kwargs)
+        gaps.append(trace_info.optimality_gap)
+        return {"p": p, "max_s": result.s_value, "violates": abs(result.s_value) > 2.0 + 1e-12}
 
-    rows = []
     step = (cfg.p_max - cfg.p_min) / (cfg.points - 1)
-    for i in range(cfg.points):
-        p = cfg.p_min + i * step
-        s = max_s(p)
-        rows.append({"p": p, "max_s": s, "violates": abs(s) > 2.0 + 1e-12})
+    rows = [optimized_row(cfg.p_min + i * step) for i in range(cfg.points)]
     threshold = werner_threshold(tol=_DEFAULTS["bisection_tol"], **optimizer_kwargs)
-    s_at_threshold = max_s(threshold)
-    threshold_row = {
-        "p": threshold,
-        "max_s": s_at_threshold,
-        "violates": abs(s_at_threshold) > 2.0 + 1e-12,
-    }
+    threshold_row = optimized_row(threshold)
+    s_at_threshold = threshold_row["max_s"]
     report = {
         "command": "werner-sweep",
         "inputs": {
@@ -427,12 +406,14 @@ def _run_werner_sweep(cfg: RunConfig):
             "p_max": cfg.p_max,
             "points": cfg.points,
             "seed": cfg.seed,
-            "theta_divisions": cfg.theta_divisions,
-            "phi_divisions": cfg.phi_divisions,
             "restarts": cfg.restarts,
         },
         "results": {"rows": rows, "threshold": threshold, "threshold_row": threshold_row},
-        "diagnostics": {"bisection_tol": _DEFAULTS["bisection_tol"]},
+        "diagnostics": {
+            "bisection_tol": _DEFAULTS["bisection_tol"],
+            "optimality_gap": gaps[:-1],
+            "threshold_row_optimality_gap": gaps[-1],
+        },
     }
     csv_lines = ["p,max_s,violates"]
     for row in rows + [threshold_row]:
@@ -595,10 +576,8 @@ def _add_settings(p: argparse.ArgumentParser) -> None:
                        metavar=("THETA", "PHI"), help=f"polar angles of {name} in radians")
 
 
-def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta-divisions", type=int, default=None, help="grid points in theta (default 24)")
-    p.add_argument("--phi-divisions", type=int, default=None, help="grid points in phi (default 48)")
-    p.add_argument("--restarts", type=int, default=None, help="random search restarts (default 3)")
+def _add_search(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--restarts", type=int, default=None, help="random see-saw starts (default 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,14 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize |S| over measurement directions")
     _add_state(p)
-    _add_grid(p)
+    _add_search(p)
     _add_common(p)
 
     p = sub.add_parser("werner-sweep", help="max |S| across Werner visibilities plus the violation threshold")
     p.add_argument("--p-min", dest="p_min", type=float, default=None, help="sweep start (default 0)")
     p.add_argument("--p-max", dest="p_max", type=float, default=None, help="sweep end (default 1)")
     p.add_argument("--points", type=int, default=None, help="sweep points (default 41)")
-    _add_grid(p)
+    _add_search(p)
     _add_common(p)
 
     p = sub.add_parser("lhv", help="exact and sampled hidden-variable statistics")

@@ -44,10 +44,10 @@ class LhvModel:
             raise ValueError("model needs at least one hidden-variable label")
         if not len(self.labels) == len(self.weights) == len(self.responses):
             raise ValueError("labels, weights and responses must have equal length")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(w >= 0.0 for w in self.weights):
+            raise ValueError("weights must be nonnegative numbers")
         total = math.fsum(self.weights)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         for resp in self.responses:
             if len(resp) != 4 or any(v not in (1, -1) for v in resp):

@@ -28,7 +28,7 @@ class UnitVector3:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > NORM_INPUT_TOL:
+        if not abs(norm - 1.0) <= NORM_INPUT_TOL:
             raise ValueError(f"direction ({self.x}, {self.y}, {self.z}) has norm {norm!r}, not 1")
         object.__setattr__(self, "x", self.x / norm)
         object.__setattr__(self, "y", self.y / norm)

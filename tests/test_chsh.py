@@ -14,7 +14,9 @@ from bellsim.chsh import (
     chsh_quantum,
     chsh_value,
     correlator_table,
+    horodecki_max_s,
     optimize_settings,
+    optimize_settings_traced,
     quantum_correlator,
     singlet_correlator_analytic,
     singlet_optimal_settings,
@@ -106,6 +108,12 @@ def test_chsh_value_examples():
 def test_correlator_table_rejects_out_of_range():
     with pytest.raises(ValueError):
         CorrelatorTable(1.1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_correlator_table_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        CorrelatorTable(0.0, 0.0, bad, 0.0)
 
 
 def test_chsh_result_flags():
@@ -233,3 +241,26 @@ def test_werner_threshold_matches_inverse_sqrt2():
 
 def test_tsirelson_check_accepts_optimal_singlet():
     assert tsirelson_check([chsh_quantum(make_singlet(), singlet_optimal_settings())])
+
+
+def test_horodecki_closed_form_examples():
+    assert horodecki_max_s(make_singlet()) == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+    assert horodecki_max_s(make_werner(0.5)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert horodecki_max_s(make_werner(0.0)) == 0.0
+
+
+def test_trace_reports_gap_and_counts():
+    rho = random_density()
+    result, trace_info = optimize_settings_traced(rho, random_starts=2, seed=5)
+    assert trace_info.optimality_gap == horodecki_max_s(rho) - result.s_value
+    assert abs(trace_info.optimality_gap) <= 1e-9
+    assert trace_info.starts == 3
+    assert trace_info.sweeps >= 1
+    assert trace_info.grid_evaluations == 0
+    assert trace_info.refine_evaluations == trace_info.updates == 4 * 3 * trace_info.sweeps
+
+
+@pytest.mark.parametrize("restarts", [-1, 10_001])
+def test_optimize_rejects_restarts_out_of_range(restarts):
+    with pytest.raises(ValueError):
+        optimize_settings(make_singlet(), random_starts=restarts)

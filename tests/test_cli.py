@@ -96,6 +96,22 @@ def test_optimize_white_noise(capsys):
     assert abs(report["results"]["s_value"]) <= 1e-6
 
 
+def test_optimize_reports_see_saw_diagnostics(capsys):
+    report = run_json(capsys, "optimize", "--state", "werner:0.9", "--restarts", "1")
+    diagnostics = report["diagnostics"]
+    assert diagnostics["starts"] == 2
+    assert diagnostics["updates"] == 4 * 2 * diagnostics["sweeps"]
+    assert abs(diagnostics["optimality_gap"]) <= 1e-9
+    assert not any(key.startswith("grid_") for key in diagnostics)
+    assert set(report["inputs"]) == {"state", "seed", "restarts"}
+
+
+@pytest.mark.parametrize("flag", ["--theta-divisions", "--phi-divisions"])
+@pytest.mark.parametrize("command", ["optimize", "werner-sweep"])
+def test_removed_grid_flags_exit_two(capsys, command, flag):
+    assert run_cli(capsys, command, flag, "24")[0] == 2
+
+
 def test_optimize_rejects_bad_state(capsys):
     for spec in ("werner:1.5", "werner:abc", "ghz"):
         code, _, _ = run_cli(capsys, "optimize", "--state", spec)
@@ -115,6 +131,14 @@ def test_werner_sweep_monotone_and_threshold(capsys):
     assert rows[-1]["max_s"] == pytest.approx(TSIRELSON_BOUND, abs=1e-4)
     assert report["results"]["threshold"] == pytest.approx(INV_SQRT2, abs=1e-4)
     assert report["results"]["threshold_row"]["max_s"] == pytest.approx(2.0, abs=1e-3)
+
+
+def test_werner_sweep_reports_gap_per_row(capsys):
+    report = run_json(capsys, "werner-sweep", "--points", "4")
+    gaps = report["diagnostics"]["optimality_gap"]
+    assert len(gaps) == len(report["results"]["rows"]) == 4
+    assert max(abs(g) for g in gaps) <= 1e-9
+    assert abs(report["diagnostics"]["threshold_row_optimality_gap"]) <= 1e-9
 
 
 def test_werner_sweep_csv(capsys):
@@ -163,6 +187,13 @@ def test_lhv_rejects_unnormalized_weights(capsys):
     code, _, err = run_cli(capsys, "lhv", "--weights", *weights)
     assert code == 2
     assert "sum" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_lhv_rejects_non_finite_weights(capsys, bad):
+    code, out, _ = run_cli(capsys, "lhv", "--weights", bad, *["0"] * 15)
+    assert code == 2
+    assert out == ""
 
 
 def test_lhv_requires_exactly_one_model(capsys):
@@ -274,6 +305,31 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run_cli(capsys, "chsh", "--preset", "optimal", "--config", str(cfg))
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("line", ["seed = 1.9", "trials = 2.5", "restarts = 0.5", "points = 2.7",
+                                  "seed = true", "seed = nan", "trials = inf"])
+def test_config_rejects_non_integral_integers(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "chsh", "--preset", "optimal", "--config", str(cfg))
+    assert code == 2
+    assert line.split()[0] in err
+
+
+def test_config_accepts_integral_float(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 1e3\nseed = 4.0\n")
+    report = run_json(capsys, "sample", "--preset", "optimal", "--config", str(cfg))
+    assert report["inputs"]["trials"] == 1000
+    assert report["inputs"]["seed"] == 4
+
+
+@pytest.mark.parametrize("key", ["theta_divisions", "phi-divisions"])
+def test_config_rejects_removed_grid_keys(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 24\n")
+    assert run_cli(capsys, "optimize", "--config", str(cfg))[0] == 2
 
 
 def test_unknown_preset_exits_two(capsys):

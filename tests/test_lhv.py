@@ -53,6 +53,14 @@ def test_model_validation_errors():
         LhvModel.from_pattern_weights([1.0] + [0.0] * 14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError):
+        LhvModel.from_pattern_weights([bad] + [0.0] * 15)
+    with pytest.raises(ValueError):
+        LhvModel.from_pattern_weights([1.0, bad] + [0.0] * 14)
+
+
 def test_uniform16_weights():
     model = LhvModel.uniform16()
     assert len(model.weights) == 16

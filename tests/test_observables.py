@@ -34,6 +34,14 @@ def test_unit_vector_rejects_far_from_unit():
         UnitVector3(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        UnitVector3(bad, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        UnitVector3(0.0, 1.0, bad)
+
+
 def test_unit_vector_renormalizes_small_drift():
     v = UnitVector3(1.0 + 5e-10, 0.0, 0.0)
     assert v.x == 1.0
