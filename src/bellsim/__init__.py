@@ -31,7 +31,9 @@ from .chsh import (
 from .lhv import (
     EstimatedTable,
     LhvModel,
+    MAX_TRIALS,
     RESPONSE_PATTERNS,
+    TrialLog,
     TrialRecord,
     bell_operator_integrand,
     classical_bound_exhaustive,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -23,6 +22,7 @@ from .chsh import (
     werner_threshold,
 )
 from .lhv import (
+    MAX_TRIALS,
     LhvModel,
     classical_bound_exhaustive,
     deterministic_chsh_values,
@@ -537,9 +537,8 @@ def _run_sample(cfg: RunConfig):
 def _write_log_if_requested(cfg: RunConfig, records) -> str | None:
     if cfg.trial_log is None:
         return None
-    buffer = io.StringIO()
-    write_trial_log(records, buffer)
-    cfg.trial_log.write_text(buffer.getvalue())
+    with open(cfg.trial_log, "w", encoding="ascii") as stream:
+        write_trial_log(records, stream)
     return str(cfg.trial_log)
 
 
@@ -611,14 +610,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, choices=["uniform16"], help="named model")
     p.add_argument("--weights", nargs=16, type=float, default=None,
                    metavar="W", help="16 normalized pattern weights")
-    p.add_argument("--trials", type=int, default=None, help="also sample this many trials")
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"also sample this many trials (at most {MAX_TRIALS})")
     p.add_argument("--trial-log", dest="trial_log", default=None, help="write sampled trials as CSV")
     _add_common(p)
 
     p = sub.add_parser("sample", help="finite-statistics experiment on a quantum correlator table")
     _add_state(p)
     _add_settings(p)
-    p.add_argument("--trials", type=int, default=None, help="number of trials (required)")
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"number of trials (required, at most {MAX_TRIALS})")
     p.add_argument("--trial-log", dest="trial_log", default=None, help="write sampled trials as CSV")
     _add_common(p)
 

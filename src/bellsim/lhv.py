@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+import operator
+from dataclasses import dataclass, fields
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,6 +109,15 @@ def classical_bound_exhaustive() -> float:
     return max(abs(s) for s in deterministic_chsh_values())
 
 
+
+
+#: Largest trial count the samplers accept. Every trial stays in memory, and
+#: a CLI run peaked at about 23 bytes per trial (256 MB for 1e7 trials of
+#: ``lhv --preset uniform16``, 237 MB for ``sample``), so the largest run
+#: needs about 2.3 GB. Larger counts are refused before any draw.
+MAX_TRIALS = 10**8
+
+
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One experimental run: chosen settings (1 or 2 each) and +-1 outcomes."""
@@ -117,6 +127,59 @@ class TrialRecord:
     b_setting: int
     a_outcome: int
     b_outcome: int
+
+
+def _all_in(column: np.ndarray, allowed: tuple[int, int]) -> bool:
+    return bool(((column == allowed[0]) | (column == allowed[1])).all())
+
+
+@dataclass(frozen=True, eq=False)
+class TrialLog:
+    """Sampled trials as four int8 columns; trial ``i`` is row ``i``.
+
+    Indexing with an int and iteration yield :class:`TrialRecord` values, a
+    slice yields a list of them, and a log equals another log or a ``list``
+    of records holding the same trials in the same order. So a log reads
+    like the list of records it replaces, without one object per trial.
+    """
+
+    a_setting: np.ndarray
+    b_setting: np.ndarray
+    a_outcome: np.ndarray
+    b_outcome: np.ndarray
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        cols = [np.asarray(getattr(self, name)) for name in names]
+        if not all(c.ndim == 1 and len(c) == len(cols[0]) for c in cols):
+            raise ValueError("trial log columns must be 1-D and of equal length")
+        if not (all(_all_in(c, (1, 2)) for c in cols[:2]) and all(_all_in(c, (1, -1)) for c in cols[2:])):
+            raise ValueError("trial log settings must be 1 or 2 and outcomes +1 or -1")
+        for name, c in zip(names, cols):
+            object.__setattr__(self, name, c.astype(np.int8, copy=False))
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.a_setting, self.b_setting, self.a_outcome, self.b_outcome)
+
+    def __len__(self) -> int:
+        return len(self.a_setting)
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        return map(TrialRecord, range(len(self)), *(c.tolist() for c in self._columns))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(TrialRecord, range(len(self))[index], *(c[index].tolist() for c in self._columns)))
+        i = range(len(self))[index]
+        return TrialRecord(i, *(int(c[i]) for c in self._columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TrialLog):
+            return all(map(np.array_equal, self._columns, other._columns))
+        if isinstance(other, list):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -142,99 +205,129 @@ class EstimatedTable:
         return math.sqrt(sum(se * se for se in self.std_errors))
 
 
-def _estimate(a_set: np.ndarray, b_set: np.ndarray, a_out: np.ndarray, b_out: np.ndarray) -> EstimatedTable:
-    prod = (a_out * b_out).astype(float)
-    entries, counts, errors = [], [], []
-    for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        mask = (a_set == j) & (b_set == k)
-        n = int(mask.sum())
+def _estimate(log: TrialLog) -> EstimatedTable:
+    # One tally over 8 bins: the setting pair 2*(j-1) + (k-1), plus 4 when the outcomes agree.
+    same = (log.a_outcome == log.b_outcome).view(np.int8)
+    tally = np.bincount(4 * same + 2 * (log.a_setting - 1) + (log.b_setting - 1), minlength=8).reshape(2, 4)
+    counts = tuple(tally.sum(axis=0).tolist())
+    entries, errors = [], []
+    for n, n_same in zip(counts, tally[1].tolist()):
         if n == 0:
             e, se = 0.0, math.inf
         else:
-            e = float(prod[mask].mean())
+            # Exact integers divided once, as in the mean of the +-1 products.
+            e = (2 * n_same - n) / n
             se = math.sqrt(max(1.0 - e * e, 0.0) / n)
         entries.append(e)
-        counts.append(n)
         errors.append(se)
-    return EstimatedTable(
-        table=CorrelatorTable(*entries),
-        counts=tuple(counts),
-        std_errors=tuple(errors),
-    )
+    return EstimatedTable(table=CorrelatorTable(*entries), counts=counts, std_errors=tuple(errors))
 
 
 def estimate_from_records(records: Iterable[TrialRecord]) -> EstimatedTable:
-    """Recompute the estimated table from a trial log."""
-    rows = [(r.a_setting, r.b_setting, r.a_outcome, r.b_outcome) for r in records]
-    if not rows:
+    """Recompute the estimated table from a :class:`TrialLog` or any iterable of records."""
+    if not isinstance(records, TrialLog):
+        rows = [(r.a_setting, r.b_setting, r.a_outcome, r.b_outcome) for r in records]
+        records = TrialLog(*np.array(rows).reshape(-1, 4).T)
+    if not len(records):
         raise ValueError("cannot estimate correlators from an empty trial log")
-    arr = np.array(rows)
-    return _estimate(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    return _estimate(records)
 
 
-def _make_records(a_set: np.ndarray, b_set: np.ndarray, a_out: np.ndarray, b_out: np.ndarray) -> list[TrialRecord]:
-    return [
-        TrialRecord(i, aj, bk, ao, bo)
-        for i, (aj, bk, ao, bo) in enumerate(
-            zip(a_set.tolist(), b_set.tolist(), a_out.tolist(), b_out.tolist())
-        )
-    ]
+def _check_trials(n_trials: int) -> None:
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
 
 
-def sample_lhv_experiment(
-    m: LhvModel, n_trials: int, seed: int
-) -> tuple[EstimatedTable, list[TrialRecord]]:
+def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[EstimatedTable, TrialLog]:
     """Simulate ``n_trials`` runs of the hidden-variable model.
 
     Per trial a fresh hidden variable is drawn from the model's weights and
     the two setting indices are drawn uniformly, independently of it and of
     each other. The stream contract for a given seed is: one PCG64 generator
     (numpy ``default_rng``), consumed in the order lambda indices, A settings,
-    B settings, each as one vectorized draw.
+    B settings, each as one vectorized draw. ``n_trials`` must lie in
+    ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
+    :class:`TrialLog`.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _check_trials(n_trials)
     rng = np.random.default_rng(seed)
     lam = rng.choice(len(m.responses), size=n_trials, p=np.array(m.weights))
-    a_set = rng.integers(1, 3, size=n_trials)
-    b_set = rng.integers(1, 3, size=n_trials)
-    resp = np.array(m.responses)
-    a_out = resp[lam, a_set - 1]
-    b_out = resp[lam, b_set + 1]
-    return _estimate(a_set, b_set, a_out, b_out), _make_records(a_set, b_set, a_out, b_out)
+    a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
+    b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
+    resp = np.array(m.responses, dtype=np.int8)
+    log = TrialLog(a_set, b_set, resp[lam, a_set - 1], resp[lam, b_set + 1])
+    return _estimate(log), log
 
 
 def sample_quantum_experiment(
     e_table: CorrelatorTable, n_trials: int, seed: int
-) -> tuple[EstimatedTable, list[TrialRecord]]:
+) -> tuple[EstimatedTable, TrialLog]:
     """Simulate trials whose joint outcome law is P(a,b) = (1 + a*b*e_jk)/4.
 
     This is the unique pair law with the given correlators and unbiased
     single-party outcomes, so it applies to states whose one-party
     expectations vanish (singlet and Werner states qualify). Stream contract
     per seed (PCG64, vectorized draws in order): A settings, B settings,
-    A outcomes, correlation coin.
+    A outcomes, correlation coin. ``n_trials`` must lie in
+    ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
+    :class:`TrialLog`.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _check_trials(n_trials)
     rng = np.random.default_rng(seed)
-    a_set = rng.integers(1, 3, size=n_trials)
-    b_set = rng.integers(1, 3, size=n_trials)
-    a_out = 2 * rng.integers(0, 2, size=n_trials) - 1
-    coin = rng.random(n_trials)
-    e_grid = np.array([[e_table.e11, e_table.e12], [e_table.e21, e_table.e22]])
-    e_per_trial = e_grid[a_set - 1, b_set - 1]
-    same = coin < (1.0 + e_per_trial) / 2.0
-    b_out = np.where(same, a_out, -a_out)
-    return _estimate(a_set, b_set, a_out, b_out), _make_records(a_set, b_set, a_out, b_out)
+    a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
+    b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
+    a_out = 2 * rng.integers(0, 2, size=n_trials).astype(np.int8) - 1
+    p_same = (1.0 + np.array([[e_table.e11, e_table.e12], [e_table.e21, e_table.e22]])) / 2.0
+    same = rng.random(n_trials) < p_same[a_set - 1, b_set - 1]
+    log = TrialLog(a_set, b_set, a_out, np.where(same, a_out, -a_out))
+    return _estimate(log), log
 
 
 TRIAL_LOG_HEADER = ("trial", "a_setting", "b_setting", "a_outcome", "b_outcome")
 
+#: Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 8*(j-1) + 4*(k-1) + 2*(x<0) + (y<0).
+_ROW_TAILS = (
+    np.array([f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)],
+             dtype="S11")
+    .view(np.uint8)
+    .reshape(16, 11)
+)
+_BLOCK = 10**4
+
+
+def _write_log_rows(log: TrialLog, stream: IO[str]) -> None:
+    """Format the rows in blocks of 10^4 trials as byte arrays with NUL padding, then drop the NULs.
+
+    In the block starting at trial ``h * 10^4`` every index is ``str(h)``
+    followed by the four digits of the low part, zero-padded unless ``h`` is
+    0, where the leading zeros are blanked to NUL instead.
+    """
+    low = np.arange(_BLOCK)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    padded = (low // place % 10 + ord("0")).astype(np.uint8)
+    unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
+    for start in range(0, len(log), _BLOCK):
+        a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._columns)
+        code = 8 * (a_set - 1) + 4 * (b_set - 1) + 2 * (a_out < 0) + (b_out < 0)
+        high = np.frombuffer(str(start // _BLOCK).encode() if start else b"", np.uint8)
+        rows = np.hstack([
+            np.broadcast_to(high, (len(code), len(high))),
+            (padded if start else unpadded)[:len(code)],
+            _ROW_TAILS[code],
+        ])
+        stream.write(rows[rows != 0].tobytes().decode("ascii"))
+
 
 def write_trial_log(records: Iterable[TrialRecord], stream: IO[str]) -> None:
-    """Write records as CSV: one row per trial, settings in {1,2}, outcomes in {+1,-1}."""
+    """Write trials as CSV: one row per trial, settings in {1,2}, outcomes in {+1,-1}.
+
+    A :class:`TrialLog` is numbered from 0 and written in blocks; any other
+    iterable of records is written row by row with its own ``trial_index``.
+    """
+    stream.write(",".join(TRIAL_LOG_HEADER) + "\n")
+    if isinstance(records, TrialLog):
+        _write_log_rows(records, stream)
+        return
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRIAL_LOG_HEADER)
     for r in records:
         writer.writerow((r.trial_index, r.a_setting, r.b_setting, r.a_outcome, r.b_outcome))

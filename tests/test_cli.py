@@ -2,10 +2,12 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from bellsim.chsh import InternalConsistencyError, TSIRELSON_BOUND
 from bellsim.cli import REPORT_SCHEMA, main
+from bellsim.lhv import MAX_TRIALS
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -358,3 +360,27 @@ def test_reports_validate_against_schema(capsys):
     run_json(capsys, "werner-sweep", "--points", "3", "--p-min", "0.2", "--p-max", "0.4")
     run_json(capsys, "lhv", "--exhaustive")
     run_json(capsys, "sample", "--preset", "optimal", "--trials", "100")
+
+
+@pytest.mark.parametrize("command", [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_trials_above_max_exit_two_before_drawing(capsys, tmp_path, monkeypatch, command, via_config):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built for an oversized trial count")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"trials = {MAX_TRIALS + 1}\n")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--trials", str(MAX_TRIALS + 1)]
+    code, _, err = run_cli(capsys, *command, *extra)
+    assert code == 2
+    assert str(MAX_TRIALS) in err
+
+
+def test_trials_help_states_the_bound(capsys):
+    for command in ("sample", "lhv"):
+        _, out, _ = run_cli(capsys, command, "--help")
+        assert f"at most {MAX_TRIALS})" in out
