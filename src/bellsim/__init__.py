@@ -17,6 +17,7 @@ from .chsh import (
     born_expectation,
     chsh_quantum,
     chsh_value,
+    correlation_tensor,
     correlator_table,
     horodecki_max_s,
     optimize_settings,
@@ -49,7 +50,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    adjoint,
     identity,
     matmul,
     min_eigenvalue_hermitian,
@@ -63,7 +63,6 @@ from .observables import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    commutes,
     from_polar,
     spin_observable,
     to_polar,

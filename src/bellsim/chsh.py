@@ -9,17 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import ComplexMatrix, matmul, tensor_product, trace
-from .observables import (
-    PolarAngles,
-    SpinObservable,
-    UnitVector3,
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    from_polar,
-    spin_observable,
-)
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, ComplexMatrix, matmul, tensor_product, trace
+from .observables import PolarAngles, SpinObservable, UnitVector3, X_AXIS, Z_AXIS, from_polar
 from .states import DensityMatrix, make_werner
 
 CLASSICAL_BOUND = 2.0
@@ -31,23 +22,45 @@ _CORRELATOR_SLACK = 1e-10
 
 
 class InternalConsistencyError(RuntimeError):
-    """A Born-rule trace came out with a non-negligible imaginary part."""
+    """A Born-rule trace or the correlation tensor came out with a non-negligible imaginary part."""
+
+
+def _check_real(value, what: str) -> None:
+    residue = float(np.max(np.abs(np.imag(value))))
+    if residue > BORN_IMAG_TOL:
+        raise InternalConsistencyError(
+            f"{what} has imaginary part {residue:.3e}; "
+            "state or observable is not Hermitian in the expected ordering"
+        )
 
 
 def born_expectation(state: ComplexMatrix, observable: ComplexMatrix) -> float:
     """Tr(state * observable), asserting the imaginary residue is below 1e-10."""
     value = trace(matmul(state, observable))
-    if abs(value.imag) > BORN_IMAG_TOL:
-        raise InternalConsistencyError(
-            f"Born-rule trace has imaginary part {value.imag:.3e}; "
-            "state or observable is not Hermitian in the expected ordering"
-        )
+    _check_real(value, "Born-rule trace")
     return value.real
 
 
 def quantum_correlator(rho: DensityMatrix, a: SpinObservable, b: SpinObservable) -> float:
     """Expectation of the product of outcomes when A measures ``a`` and B measures ``b``."""
     return born_expectation(rho.matrix, tensor_product(a.matrix, b.matrix))
+
+
+#: Entry (i, j) holds (sigma_i (x) sigma_j)^T flattened, so that its product
+#: with the flattened state is Tr(rho sigma_i (x) sigma_j).
+_PAULIS = (PAULI_X.entries, PAULI_Y.entries, PAULI_Z.entries)
+_PAULI_PAIRS = np.array([[np.kron(a, b).T.reshape(16) for b in _PAULIS] for a in _PAULIS])
+
+
+def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
+    """The 3x3 correlation tensor T_ij = Tr(rho sigma_i (x) sigma_j).
+
+    Every correlator of ``rho`` is the bilinear form E(a, b) = a . T b. The
+    imaginary residue is checked like that of a Born-rule trace.
+    """
+    t_mat = _PAULI_PAIRS @ rho.matrix.entries.reshape(16)
+    _check_real(t_mat, "correlation tensor")
+    return t_mat.real
 
 
 def singlet_correlator_analytic(a: UnitVector3, b: UnitVector3) -> float:
@@ -109,21 +122,25 @@ class ChshResult:
         )
 
 
+def _table(t_mat: np.ndarray, s: MeasurementSettings) -> CorrelatorTable:
+    a = np.array([s.a1.as_array(), s.a2.as_array()])
+    b = np.array([s.b1.as_array(), s.b2.as_array()])
+    (e11, e12), (e21, e22) = (a @ t_mat @ b.T).tolist()
+    return CorrelatorTable(e11, e12, e21, e22)
+
+
+def _chsh_result(t_mat: np.ndarray, s: MeasurementSettings) -> ChshResult:
+    return ChshResult.from_value(chsh_value(_table(t_mat, s)), s)
+
+
 def correlator_table(rho: DensityMatrix, s: MeasurementSettings) -> CorrelatorTable:
-    """Evaluate all four Born-rule correlators for one configuration."""
-    oa1, oa2 = spin_observable(s.a1), spin_observable(s.a2)
-    ob1, ob2 = spin_observable(s.b1), spin_observable(s.b2)
-    return CorrelatorTable(
-        e11=quantum_correlator(rho, oa1, ob1),
-        e12=quantum_correlator(rho, oa1, ob2),
-        e21=quantum_correlator(rho, oa2, ob1),
-        e22=quantum_correlator(rho, oa2, ob2),
-    )
+    """All four correlators e_jk = a_j . T b_k of one configuration."""
+    return _table(correlation_tensor(rho), s)
 
 
 def chsh_quantum(rho: DensityMatrix, s: MeasurementSettings) -> ChshResult:
     """CHSH value of ``rho`` at the given settings, with bound flags."""
-    return ChshResult.from_value(chsh_value(correlator_table(rho, s)), s)
+    return _chsh_result(correlation_tensor(rho), s)
 
 
 def singlet_optimal_settings() -> MeasurementSettings:
@@ -158,15 +175,16 @@ def tsirelson_check(results: Iterable[ChshResult]) -> bool:
 # E(a, b) = a . (T b) with T_ij the correlator along the coordinate axes, so
 # S = a1 . T(b1 + b2) + a2 . T(b1 - b2) is linear in each direction and the
 # best direction given the other three is a normalized vector (the see-saw
-# method of Liang & Doherty, PRA 75, 042103, 2007). The search runs on T; the
-# final result is re-evaluated through the full Born-rule path and compared
-# with the closed-form maximum of Horodecki, Horodecki & Horodecki,
-# Phys. Lett. A 200, 340 (1995).
+# method of Liang & Doherty, PRA 75, 042103, 2007). The search and the final
+# S both read T, and S is compared with the closed-form maximum of Horodecki,
+# Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995).
 
 SEE_SAW_TOL = 1e-12
 SEE_SAW_MAX_SWEEPS = 2000
+RANDOM_STARTS = 3
 MAX_RANDOM_STARTS = 10_000  # all starts advance together, so memory grows with their number
-_ZERO_NORM = 1e-13  # relative to max |T_ij|; well above the rounding noise of a Born-rule T
+THRESHOLD_TOL = 1e-6
+_ZERO_NORM = 1e-13  # relative to max |T_ij|; well above the rounding noise of T
 
 
 @dataclass(frozen=True)
@@ -198,17 +216,6 @@ class OptimizationTrace:
         return self.updates
 
 
-def _correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    axes = (X_AXIS, Y_AXIS, Z_AXIS)
-    obs = [spin_observable(n) for n in axes]
-    return np.array([[quantum_correlator(rho, oa, ob) for ob in obs] for oa in obs])
-
-
-def _horodecki(t_mat: np.ndarray) -> float:
-    s = np.linalg.svd(t_mat, compute_uv=False)
-    return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
-
-
 def horodecki_max_s(rho: DensityMatrix) -> float:
     """Closed-form max |S| over all settings: 2*sqrt(s1^2 + s2^2).
 
@@ -216,7 +223,8 @@ def horodecki_max_s(rho: DensityMatrix) -> float:
     tensor T (Horodecki, Horodecki & Horodecki, 1995). Independent of the
     see-saw search, so it certifies :func:`optimize_settings`.
     """
-    return _horodecki(_correlation_matrix(rho))
+    s = np.linalg.svd(correlation_tensor(rho), compute_uv=False)
+    return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
 
 
 def _sum_diff(pair: np.ndarray) -> np.ndarray:
@@ -239,7 +247,14 @@ def _see_saw_step(t_mat: np.ndarray, old: np.ndarray, other: np.ndarray, floor: 
 
 
 def _see_saw(t_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Alternate the exact A and B updates until no direction moves by more than 1e-12."""
+    """Alternate the exact A and B updates until no direction moves by more than 1e-12.
+
+    T is first scaled by the power of two that brings max |T_ij| into
+    [0.5, 1). The scaling is exact, so every step is the same as on T itself,
+    but the norm of a target no longer underflows when T is tiny (a Werner
+    state with p = 1e-158).
+    """
+    t_mat = np.ldexp(t_mat, -np.frexp(np.abs(t_mat).max())[1])
     floor = _ZERO_NORM * float(np.abs(t_mat).max())
     for sweep in range(1, SEE_SAW_MAX_SWEEPS + 1):
         new_a = _see_saw_step(t_mat, a, b, floor)
@@ -254,20 +269,20 @@ def _see_saw(t_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
 def optimize_settings_traced(
     rho: DensityMatrix,
     *,
-    random_starts: int = 3,
+    random_starts: int = RANDOM_STARTS,
     seed: int = 0,
 ) -> tuple[ChshResult, OptimizationTrace]:
     """Maximize |S| over the four directions and report search diagnostics.
 
     See-saw from one fixed and ``random_starts`` random starting
-    configurations (``default_rng(seed)``), at most 2000 sweeps. The best
-    settings are re-evaluated through the Born rule, and the result is
-    canonicalized to S >= 0 (negating both of B's directions flips the sign of
-    S, so this loses nothing).
+    configurations (``default_rng(seed)``), at most 2000 sweeps. S is then
+    evaluated at the best settings, and the result is canonicalized to
+    S >= 0 (negating both of B's directions flips the sign of S, so this
+    loses nothing).
     """
     if not 0 <= random_starts <= MAX_RANDOM_STARTS:
         raise ValueError(f"random_starts must be in [0, {MAX_RANDOM_STARTS}], got {random_starts}")
-    t_mat = _correlation_matrix(rho)
+    t_mat = correlation_tensor(rho)
     rng = np.random.default_rng(seed)
 
     starts = [np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])]
@@ -281,14 +296,14 @@ def optimize_settings_traced(
     best = int(np.argmax(surrogate))
 
     settings = MeasurementSettings(*(UnitVector3(*v) for v in (a[0, best], a[1, best], b[0, best], b[1, best])))
-    result = chsh_quantum(rho, settings)
+    result = _chsh_result(t_mat, settings)
     if result.s_value < 0.0:
-        result = chsh_quantum(rho, settings.flip_b())
+        result = _chsh_result(t_mat, settings.flip_b())
     trace_info = OptimizationTrace(
         starts=len(starts),
         sweeps=sweeps,
         surrogate_s=float(surrogate[best]),
-        optimality_gap=_horodecki(t_mat) - result.s_value,
+        optimality_gap=horodecki_max_s(rho) - result.s_value,
     )
     return result, trace_info
 
@@ -298,7 +313,7 @@ def optimize_settings(rho: DensityMatrix, **kwargs) -> ChshResult:
     return optimize_settings_traced(rho, **kwargs)[0]
 
 
-def werner_threshold(*, tol: float = 1e-6, **optimizer_kwargs) -> float:
+def werner_threshold(*, tol: float = THRESHOLD_TOL, **optimizer_kwargs) -> float:
     """Critical visibility above which the optimized Werner state violates |S| <= 2.
 
     Bisection on p in [0, 1] of the predicate ``optimize_settings(werner(p)).s_value > 2``

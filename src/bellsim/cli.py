@@ -10,10 +10,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chsh import (
+    RANDOM_STARTS,
+    THRESHOLD_TOL,
+    ChshResult,
     InternalConsistencyError,
     MeasurementSettings,
     aligned_settings,
-    chsh_quantum,
     correlator_table,
     chsh_value,
     optimize_settings_traced,
@@ -34,7 +36,7 @@ from .lhv import (
     write_trial_log,
 )
 from .observables import PolarAngles, UnitVector3, to_polar
-from .states import DensityMatrix, make_singlet, make_werner
+from .states import VISIBILITY_MAX, VISIBILITY_MIN, DensityMatrix, make_singlet, make_werner
 
 #: Shape of every machine-readable JSON report.
 REPORT_SCHEMA = {
@@ -54,32 +56,22 @@ SETTINGS_PRESETS = {
     "aligned": aligned_settings,
 }
 
-_DEFAULTS = {
-    "format": "json",
-    "seed": 0,
-    "state": "singlet",
-    "restarts": 3,
-    "p_min": 0.0,
-    "p_max": 1.0,
-    "points": 41,
-    "bisection_tol": 1e-6,
+#: The options that a config file may also set, as argparse keywords. Each
+#: default is written only here: argparse itself defaults to None, so that an
+#: explicit flag wins over the config file and the file over the default.
+_OPTIONS = {
+    "format": {"choices": ["json", "csv"], "default": "json", "help": "machine report format"},
+    "out": {"help": "write the machine report to this file"},
+    "seed": {"type": int, "default": 0, "help": "RNG seed"},
+    "state": {"default": "singlet", "help": "'singlet' or 'werner:P'"},
+    "preset": {"choices": sorted(SETTINGS_PRESETS), "help": "named measurement quadruple"},
+    "trials": {"type": int, "help": f"number of trials (required, at most {MAX_TRIALS})"},
+    "trial_log": {"help": "write sampled trials as CSV"},
+    "restarts": {"type": int, "default": RANDOM_STARTS, "help": "random see-saw starts"},
+    "p_min": {"type": float, "default": 0.0, "help": "sweep start"},
+    "p_max": {"type": float, "default": 1.0, "help": "sweep end"},
+    "points": {"type": int, "default": 41, "help": "sweep points"},
 }
-
-_CONFIG_KEYS = frozenset(
-    [
-        "format",
-        "out",
-        "seed",
-        "state",
-        "preset",
-        "trials",
-        "trial_log",
-        "restarts",
-        "p_min",
-        "p_max",
-        "points",
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -90,17 +82,17 @@ class RunConfig:
     fmt: str
     out: Path | None
     seed: int
-    state: str | None = None
-    preset: str | None = None
-    angles: tuple[tuple[float, float], ...] | None = None
-    trials: int | None = None
-    trial_log: Path | None = None
-    restarts: int = 3
-    p_min: float = 0.0
-    p_max: float = 1.0
-    points: int = 41
-    exhaustive: bool = False
-    weights: tuple[float, ...] | None = None
+    state: str
+    preset: str | None
+    angles: tuple[tuple[float, float], ...] | None
+    trials: int | None
+    trial_log: Path | None
+    restarts: int
+    p_min: float
+    p_max: float
+    points: int
+    exhaustive: bool
+    weights: tuple[float, ...] | None
 
 
 # --- parsing and resolution --------------------------------------------------
@@ -121,7 +113,7 @@ def _parse_config_file(path: Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = _parse_config_value(value.strip())
     return values
@@ -148,9 +140,7 @@ def _resolve(args: argparse.Namespace, config: dict, key: str):
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
+    return config.get(key, _OPTIONS[key].get("default"))
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -192,7 +182,7 @@ def _collect_angles(args: argparse.Namespace) -> tuple[tuple[float, float], ...]
 def _config_for(args: argparse.Namespace) -> RunConfig:
     config = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     fmt = _resolve(args, config, "format")
-    if fmt not in ("json", "csv"):
+    if fmt not in _OPTIONS["format"]["choices"]:
         raise ValueError(f"unknown output format {fmt!r}")
     out = _resolve(args, config, "out")
     trial_log = _resolve(args, config, "trial_log")
@@ -303,12 +293,21 @@ def _estimate_dict(estimate) -> dict:
     }
 
 
-def _bound_lines(s: float) -> list[str]:
+def _result_dict(result: ChshResult) -> dict:
+    return {
+        "s_value": result.s_value,
+        "abs_s": abs(result.s_value),
+        "violates_classical": result.violates_classical,
+        "within_tsirelson": result.within_tsirelson,
+    }
+
+
+def _bound_lines(result: ChshResult) -> list[str]:
     return [
-        f"S   = {_fmt9(s)}",
-        f"|S| = {_fmt9(abs(s))}",
-        f"violates classical bound (|S| > 2): {'yes' if abs(s) > 2.0 + 1e-12 else 'no'}",
-        f"within Tsirelson bound (2*sqrt(2)): {'yes' if abs(s) <= 2.0 * math.sqrt(2.0) + 1e-8 else 'no'}",
+        f"S   = {_fmt9(result.s_value)}",
+        f"|S| = {_fmt9(abs(result.s_value))}",
+        f"violates classical bound (|S| > 2): {'yes' if result.violates_classical else 'no'}",
+        f"within Tsirelson bound (2*sqrt(2)): {'yes' if result.within_tsirelson else 'no'}",
     ]
 
 
@@ -319,7 +318,7 @@ def _run_chsh(cfg: RunConfig):
     rho = parse_state_spec(cfg.state)
     settings = _resolve_settings(cfg)
     table = correlator_table(rho, settings)
-    result = chsh_quantum(rho, settings)
+    result = ChshResult.from_value(chsh_value(table), settings)
     report = {
         "command": "chsh",
         "inputs": {
@@ -328,18 +327,12 @@ def _run_chsh(cfg: RunConfig):
             "settings": _settings_dict(settings),
             "seed": cfg.seed,
         },
-        "results": {
-            "correlators": table.as_dict(),
-            "s_value": result.s_value,
-            "abs_s": abs(result.s_value),
-            "violates_classical": result.violates_classical,
-            "within_tsirelson": result.within_tsirelson,
-        },
+        "results": {"correlators": table.as_dict(), **_result_dict(result)},
         "diagnostics": {},
     }
     human = [f"chsh  state={cfg.state}"]
     human.extend(f"{k} = {_fmt9(v)}" for k, v in table.as_dict().items())
-    human.extend(_bound_lines(result.s_value))
+    human.extend(_bound_lines(result))
     return report, human, None
 
 
@@ -353,13 +346,7 @@ def _run_optimize(cfg: RunConfig):
             "seed": cfg.seed,
             "restarts": cfg.restarts,
         },
-        "results": {
-            "s_value": result.s_value,
-            "abs_s": abs(result.s_value),
-            "violates_classical": result.violates_classical,
-            "within_tsirelson": result.within_tsirelson,
-            "settings": _settings_dict(result.settings),
-        },
+        "results": {**_result_dict(result), "settings": _settings_dict(result.settings)},
         "diagnostics": {
             "starts": trace_info.starts,
             "sweeps": trace_info.sweeps,
@@ -369,7 +356,7 @@ def _run_optimize(cfg: RunConfig):
         },
     }
     human = [f"optimize  state={cfg.state}"]
-    human.extend(_bound_lines(result.s_value))
+    human.extend(_bound_lines(result))
     for name, v in (("a1", result.settings.a1), ("a2", result.settings.a2),
                     ("b1", result.settings.b1), ("b2", result.settings.b2)):
         ang = to_polar(v)
@@ -384,7 +371,7 @@ def _run_optimize(cfg: RunConfig):
 def _run_werner_sweep(cfg: RunConfig):
     if cfg.points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {cfg.points}")
-    if not (-1.0 / 3.0 <= cfg.p_min < cfg.p_max <= 1.0):
+    if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
         raise ValueError(f"sweep range [{cfg.p_min}, {cfg.p_max}] must sit inside [-1/3, 1]")
     optimizer_kwargs = dict(random_starts=cfg.restarts, seed=cfg.seed)
     gaps = []
@@ -392,11 +379,11 @@ def _run_werner_sweep(cfg: RunConfig):
     def optimized_row(p: float) -> dict:
         result, trace_info = optimize_settings_traced(make_werner(p), **optimizer_kwargs)
         gaps.append(trace_info.optimality_gap)
-        return {"p": p, "max_s": result.s_value, "violates": abs(result.s_value) > 2.0 + 1e-12}
+        return {"p": p, "max_s": result.s_value, "violates": result.violates_classical}
 
     step = (cfg.p_max - cfg.p_min) / (cfg.points - 1)
     rows = [optimized_row(cfg.p_min + i * step) for i in range(cfg.points)]
-    threshold = werner_threshold(tol=_DEFAULTS["bisection_tol"], **optimizer_kwargs)
+    threshold = werner_threshold(tol=THRESHOLD_TOL, **optimizer_kwargs)
     threshold_row = optimized_row(threshold)
     s_at_threshold = threshold_row["max_s"]
     report = {
@@ -410,7 +397,7 @@ def _run_werner_sweep(cfg: RunConfig):
         },
         "results": {"rows": rows, "threshold": threshold, "threshold_row": threshold_row},
         "diagnostics": {
-            "bisection_tol": _DEFAULTS["bisection_tol"],
+            "bisection_tol": THRESHOLD_TOL,
             "optimality_gap": gaps[:-1],
             "threshold_row_optimality_gap": gaps[-1],
         },
@@ -440,6 +427,8 @@ def _run_lhv(cfg: RunConfig):
     chosen = sum([cfg.exhaustive, cfg.preset is not None, cfg.weights is not None])
     if chosen != 1:
         raise ValueError("give exactly one of --exhaustive, --preset, or --weights")
+    if cfg.trial_log is not None and cfg.trials is None:
+        raise ValueError("--trial-log needs --trials")
     if cfg.exhaustive:
         if cfg.trials is not None:
             raise ValueError("--exhaustive does not take --trials")
@@ -505,6 +494,7 @@ def _run_sample(cfg: RunConfig):
     rho = parse_state_spec(cfg.state)
     settings = _resolve_settings(cfg)
     exact = correlator_table(rho, settings)
+    exact_s = chsh_value(exact)
     estimate, records = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
     log_path = _write_log_if_requested(cfg, records)
     report = {
@@ -518,14 +508,14 @@ def _run_sample(cfg: RunConfig):
         },
         "results": {
             "exact_table": exact.as_dict(),
-            "exact_s": chsh_value(exact),
+            "exact_s": exact_s,
             "estimate": _estimate_dict(estimate),
         },
         "diagnostics": {"trial_log": log_path},
     }
     human = [
         f"sample  state={cfg.state}  trials={cfg.trials}  seed={cfg.seed}",
-        f"exact S     = {_fmt9(chsh_value(exact))}",
+        f"exact S     = {_fmt9(exact_s)}",
         f"estimated S = {_fmt9(estimate.s_estimate)} +- {_fmt9(estimate.s_std_error)}",
         "per-pair trials: " + " ".join(str(n) for n in estimate.counts),
     ]
@@ -554,29 +544,26 @@ _RUNNERS = {
 # --- argument parsing -----------------------------------------------------------
 
 
+def _add_option(p: argparse.ArgumentParser, key: str, **overrides) -> None:
+    """Add ``--key`` as :data:`_OPTIONS` describes it; the help names the default."""
+    spec = {**_OPTIONS[key], **overrides}
+    default = spec.pop("default", None)
+    if default is not None:
+        spec["help"] += f" (default {default})"
+    p.add_argument("--" + key.replace("_", "-"), **spec)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "csv"], default=None,
-                   help="machine report format (default json)")
-    p.add_argument("--out", default=None, help="write the machine report to this file")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--config", type=Path, default=None,
-                   help="key=value config file; explicit flags win")
-
-
-def _add_state(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", default=None, help="'singlet' or 'werner:P' (default singlet)")
+    for key in ("format", "out", "seed"):
+        _add_option(p, key)
+    p.add_argument("--config", type=Path, help="key=value config file; explicit flags win")
 
 
 def _add_settings(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", default=None, choices=sorted(SETTINGS_PRESETS),
-                   help="named measurement quadruple")
+    _add_option(p, "preset")
     for name in ("a1", "a2", "b1", "b2"):
-        p.add_argument(f"--{name}", nargs=2, type=float, default=None,
-                       metavar=("THETA", "PHI"), help=f"polar angles of {name} in radians")
-
-
-def _add_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=None, help="random see-saw starts (default 3)")
+        p.add_argument(f"--{name}", nargs=2, type=float, metavar=("THETA", "PHI"),
+                       help=f"polar angles of {name} in radians")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,39 +575,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chsh", help="evaluate the CHSH value at fixed settings")
-    _add_state(p)
+    _add_option(p, "state")
     _add_settings(p)
     _add_common(p)
 
     p = sub.add_parser("optimize", help="maximize |S| over measurement directions")
-    _add_state(p)
-    _add_search(p)
+    _add_option(p, "state")
+    _add_option(p, "restarts")
     _add_common(p)
 
     p = sub.add_parser("werner-sweep", help="max |S| across Werner visibilities plus the violation threshold")
-    p.add_argument("--p-min", dest="p_min", type=float, default=None, help="sweep start (default 0)")
-    p.add_argument("--p-max", dest="p_max", type=float, default=None, help="sweep end (default 1)")
-    p.add_argument("--points", type=int, default=None, help="sweep points (default 41)")
-    _add_search(p)
+    for key in ("p_min", "p_max", "points", "restarts"):
+        _add_option(p, key)
     _add_common(p)
 
     p = sub.add_parser("lhv", help="exact and sampled hidden-variable statistics")
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate all 16 deterministic strategies and report max |S|")
-    p.add_argument("--preset", default=None, choices=["uniform16"], help="named model")
-    p.add_argument("--weights", nargs=16, type=float, default=None,
-                   metavar="W", help="16 normalized pattern weights")
-    p.add_argument("--trials", type=int, default=None,
-                   help=f"also sample this many trials (at most {MAX_TRIALS})")
-    p.add_argument("--trial-log", dest="trial_log", default=None, help="write sampled trials as CSV")
+    _add_option(p, "preset", choices=["uniform16"], help="named model")
+    p.add_argument("--weights", nargs=16, type=float, metavar="W", help="16 normalized pattern weights")
+    _add_option(p, "trials", help=f"also sample this many trials (at most {MAX_TRIALS})")
+    _add_option(p, "trial_log")
     _add_common(p)
 
     p = sub.add_parser("sample", help="finite-statistics experiment on a quantum correlator table")
-    _add_state(p)
+    _add_option(p, "state")
     _add_settings(p)
-    p.add_argument("--trials", type=int, default=None,
-                   help=f"number of trials (required, at most {MAX_TRIALS})")
-    p.add_argument("--trial-log", dest="trial_log", default=None, help="write sampled trials as CSV")
+    _add_option(p, "trials")
+    _add_option(p, "trial_log")
     _add_common(p)
 
     return parser

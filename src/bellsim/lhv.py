@@ -112,9 +112,10 @@ def classical_bound_exhaustive() -> float:
 
 
 #: Largest trial count the samplers accept. Every trial stays in memory, and
-#: a CLI run peaked at about 23 bytes per trial (256 MB for 1e7 trials of
-#: ``lhv --preset uniform16``, 237 MB for ``sample``), so the largest run
-#: needs about 2.3 GB. Larger counts are refused before any draw.
+#: a CLI run peaked at about 20 bytes per trial above the 37 MB of the import
+#: (237 MB for 1e7 trials of ``sample``, 207 MB for ``lhv --preset
+#: uniform16``), so the largest run needs about 2 GB. Larger counts are
+#: refused before any draw.
 MAX_TRIALS = 10**8
 
 
@@ -255,7 +256,9 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
     b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
     resp = np.array(m.responses, dtype=np.int8)
-    log = TrialLog(a_set, b_set, resp[lam, a_set - 1], resp[lam, b_set + 1])
+    a_out, b_out = resp[lam, a_set - 1], resp[lam, b_set + 1]
+    del lam  # 8 B per trial, which the estimate would hold on to
+    log = TrialLog(a_set, b_set, a_out, b_out)
     return _estimate(log), log
 
 

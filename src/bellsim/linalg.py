@@ -54,11 +54,6 @@ def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return ComplexMatrix(a.entries @ b.entries)
 
 
-def adjoint(a: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return ComplexMatrix(a.entries.conj().T)
-
-
 def tensor_product(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product of two 2x2 matrices, first factor on subsystem A.
 

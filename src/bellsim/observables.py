@@ -10,7 +10,6 @@ import numpy as np
 from .linalg import ComplexMatrix
 
 NORM_INPUT_TOL = 1e-9
-COMMUTATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,3 @@ def spin_observable(n: UnitVector3) -> SpinObservable:
         ]
     )
     return SpinObservable(direction=n, matrix=m)
-
-
-def commutes(a: SpinObservable, b: SpinObservable, tol: float = COMMUTATOR_TOL) -> bool:
-    """True iff the commutator vanishes entrywise within ``tol``.
-
-    For spin observables this happens exactly when the directions are
-    parallel or antiparallel.
-    """
-    am, bm = a.matrix.entries, b.matrix.entries
-    return float(np.max(np.abs(am @ bm - bm @ am))) <= tol

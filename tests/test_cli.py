@@ -207,6 +207,16 @@ def test_lhv_exhaustive_rejects_trials(capsys):
     assert run_cli(capsys, "lhv", "--exhaustive", "--trials", "100")[0] == 2
 
 
+@pytest.mark.parametrize("model", [["--preset", "uniform16"], ["--exhaustive"]])
+def test_lhv_trial_log_needs_trials(capsys, tmp_path, model):
+    log = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "lhv", *model, "--trial-log", str(log))
+    assert code == 2
+    assert "--trial-log needs --trials" in err
+    assert out == ""
+    assert not log.exists()
+
+
 # --- sample ----------------------------------------------------------------
 
 

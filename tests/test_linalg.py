@@ -6,7 +6,6 @@ from bellsim.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    adjoint,
     identity,
     matmul,
     min_eigenvalue_hermitian,
@@ -81,23 +80,6 @@ def test_matmul_associative():
         left = matmul(matmul(a, b), c)
         right = matmul(a, matmul(b, c))
         assert np.max(np.abs(left.entries - right.entries)) <= 1e-12
-
-
-# --- adjoint ---------------------------------------------------------------
-
-
-def test_adjoint_examples():
-    assert np.allclose(adjoint(identity(2)).entries, np.eye(2))
-    assert np.allclose(adjoint(PAULI_Y).entries, PAULI_Y.entries)
-    upper = ComplexMatrix([[0, 1 + 1j], [0, 0]])
-    assert np.allclose(adjoint(upper).entries, [[0, 0], [1 - 1j, 0]])
-
-
-def test_adjoint_involution():
-    for dim in (2, 4):
-        for _ in range(20):
-            m = random_matrix(dim)
-            assert np.array_equal(adjoint(adjoint(m)).entries, m.entries)
 
 
 # --- tensor product ---------------------------------------------------------

@@ -9,7 +9,6 @@ from bellsim.observables import (
     UnitVector3,
     X_AXIS,
     Z_AXIS,
-    commutes,
     from_polar,
     spin_observable,
     to_polar,
@@ -101,29 +100,3 @@ def test_spin_observable_random_directions():
         assert np.max(np.abs(m @ m - np.eye(2))) <= 1e-12
         assert abs(np.trace(m)) <= 1e-15
         assert np.max(np.abs(m - m.conj().T)) <= 1e-15
-
-
-# --- commutation ------------------------------------------------------------------
-
-
-def test_commutes_parallel_and_antiparallel():
-    oz = spin_observable(Z_AXIS)
-    assert commutes(oz, oz)
-    assert commutes(oz, spin_observable(-Z_AXIS))
-
-
-def test_commutes_orthogonal_is_false():
-    # [sigma_z, sigma_x] = 2i sigma_y, entrywise magnitude 2
-    assert not commutes(spin_observable(Z_AXIS), spin_observable(X_AXIS))
-
-
-def test_commutes_iff_colinear():
-    for _ in range(300):
-        m = random_direction()
-        n = random_direction()
-        colinear = abs(m.dot(n)) >= 1.0 - 1e-12
-        assert commutes(spin_observable(m), spin_observable(n)) == colinear
-    for _ in range(50):
-        m = random_direction()
-        assert commutes(spin_observable(m), spin_observable(m))
-        assert commutes(spin_observable(m), spin_observable(-m))

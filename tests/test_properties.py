@@ -1,13 +1,24 @@
-"""Property tests: the see-saw search reaches the Horodecki closed form."""
+"""Property tests: the correlation tensor equals the Born-rule traces, and the
+see-saw search reaches the Horodecki closed form."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellsim.chsh import horodecki_max_s, optimize_settings
+from bellsim.chsh import (
+    MeasurementSettings,
+    correlation_tensor,
+    correlator_table,
+    horodecki_max_s,
+    optimize_settings,
+    quantum_correlator,
+)
 from bellsim.linalg import ComplexMatrix
+from bellsim.observables import UnitVector3, X_AXIS, Y_AXIS, Z_AXIS, spin_observable
 from bellsim.states import DensityMatrix, make_werner
 
 GAP_TOL = 1e-9
+BORN_TOL = 1e-15
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SEARCH_SEEDS = st.integers(min_value=0, max_value=1000)
 
@@ -40,6 +51,39 @@ def _product(seed: int) -> DensityMatrix:
 def _classically_correlated(q: float) -> DensityMatrix:
     """q |00><00| + (1 - q) |11><11|: T = diag(0, 0, 1), rank 1 for every q."""
     return DensityMatrix(ComplexMatrix(np.diag([q, 0.0, 0.0, 1.0 - q]).astype(complex)))
+
+
+def _state(kind: str, seed: int) -> DensityMatrix:
+    if kind == "werner":
+        return make_werner(np.random.default_rng(seed).uniform(-1.0 / 3.0, 1.0))
+    return {"pure": _pure, "ginibre": _ginibre}[kind](seed)
+
+
+def _born_tensor(rho: DensityMatrix) -> np.ndarray:
+    """T from 9 Born-rule traces, one per pair of coordinate axes."""
+    axes = [spin_observable(n) for n in (X_AXIS, Y_AXIS, Z_AXIS)]
+    return np.array([[quantum_correlator(rho, a, b) for b in axes] for a in axes])
+
+
+def _born_table(rho: DensityMatrix, s: MeasurementSettings) -> list[float]:
+    """e11, e12, e21, e22 as 4 Born-rule traces."""
+    return [quantum_correlator(rho, spin_observable(a), spin_observable(b)) for a in (s.a1, s.a2) for b in (s.b1, s.b2)]
+
+
+def _random_settings(seed: int) -> MeasurementSettings:
+    v = np.random.default_rng(seed).normal(size=(4, 3))
+    return MeasurementSettings(*(UnitVector3(*row) for row in v / np.linalg.norm(v, axis=1, keepdims=True)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["pure", "ginibre", "werner"]), state_seed=SEEDS, settings_seed=SEEDS)
+def test_correlation_tensor_matches_born_traces(kind, state_seed, settings_seed):
+    rho = _state(kind, state_seed)
+    assert np.abs(correlation_tensor(rho) - _born_tensor(rho)).max() <= BORN_TOL
+    s = _random_settings(settings_seed)
+    table = correlator_table(rho, s)
+    born = _born_table(rho, s)
+    assert max(abs(x - y) for x, y in zip(table.as_dict().values(), born)) <= BORN_TOL
 
 
 def _assert_reaches_closed_form(rho: DensityMatrix, seed: int) -> None:
@@ -85,3 +129,10 @@ def test_rank_one_tensor_classical_correlation(q, seed):
     rho = _classically_correlated(q)
     assert abs(horodecki_max_s(rho) - 2.0) <= 1e-12
     _assert_reaches_closed_form(rho, seed)
+
+
+@pytest.mark.parametrize("p", [1.1140170223482763e-158, 1e-300, 5e-324])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tiny_werner_visibility(p, seed):
+    """A T near the bottom of the float range still gives unit directions."""
+    _assert_reaches_closed_form(make_werner(p), seed)
