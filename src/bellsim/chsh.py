@@ -183,6 +183,9 @@ SEE_SAW_TOL = 1e-12
 SEE_SAW_MAX_SWEEPS = 2000
 RANDOM_STARTS = 3
 MAX_RANDOM_STARTS = 10_000  # all starts advance together, so memory grows with their number
+#: Points of a Werner sweep. Each is one search, about 0.45 ms at the default
+#: restarts on a 2-vCPU Xeon, so a sweep at the bound takes about 5 s.
+MAX_SWEEP_POINTS = 10_000
 THRESHOLD_TOL = 1e-6
 _ZERO_NORM = 1e-13  # relative to max |T_ij|; well above the rounding noise of T
 
@@ -223,8 +226,20 @@ def horodecki_max_s(rho: DensityMatrix) -> float:
     tensor T (Horodecki, Horodecki & Horodecki, 1995). Independent of the
     see-saw search, so it certifies :func:`optimize_settings`.
     """
-    s = np.linalg.svd(correlation_tensor(rho), compute_uv=False)
-    return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
+    t_mat, exponent = _scaled(correlation_tensor(rho))
+    s = np.linalg.svd(t_mat, compute_uv=False)
+    return math.ldexp(2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2), exponent)
+
+
+def _scaled(t_mat: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(T * 2**-e, e)`` for the e that brings max |T_ij| into [0.5, 1).
+
+    The scaling is exact, so a computation on the scaled T takes the same
+    steps as on T itself, but squares and norms no longer underflow when T is
+    tiny (a Werner state with p = 1e-300). T = 0 is returned unscaled.
+    """
+    exponent = int(np.frexp(np.abs(t_mat).max())[1])
+    return np.ldexp(t_mat, -exponent), exponent
 
 
 def _sum_diff(pair: np.ndarray) -> np.ndarray:
@@ -249,12 +264,10 @@ def _see_saw_step(t_mat: np.ndarray, old: np.ndarray, other: np.ndarray, floor: 
 def _see_saw(t_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Alternate the exact A and B updates until no direction moves by more than 1e-12.
 
-    T is first scaled by the power of two that brings max |T_ij| into
-    [0.5, 1). The scaling is exact, so every step is the same as on T itself,
-    but the norm of a target no longer underflows when T is tiny (a Werner
-    state with p = 1e-158).
+    The steps run on :func:`_scaled` T, so that the norm of a target does not
+    underflow when T is tiny.
     """
-    t_mat = np.ldexp(t_mat, -np.frexp(np.abs(t_mat).max())[1])
+    t_mat = _scaled(t_mat)[0]
     floor = _ZERO_NORM * float(np.abs(t_mat).max())
     for sweep in range(1, SEE_SAW_MAX_SWEEPS + 1):
         new_a = _see_saw_step(t_mat, a, b, floor)

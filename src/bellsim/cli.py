@@ -6,10 +6,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .chsh import (
+    MAX_SWEEP_POINTS,
     RANDOM_STARTS,
     THRESHOLD_TOL,
     ChshResult,
@@ -56,55 +56,61 @@ SETTINGS_PRESETS = {
     "aligned": aligned_settings,
 }
 
+
+def _integer(text: str) -> int:
+    """The integer option type of flags and config files alike.
+
+    ``12``, ``1e6`` and ``4.0`` are accepted; ``1.9``, ``nan``, ``inf`` and
+    ``true`` are refused, not truncated. ``int`` is tried first, so a seed
+    above 2**53 keeps every digit.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+        if value.is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 #: The options that a config file may also set, as argparse keywords. Each
-#: default is written only here: argparse itself defaults to None, so that an
-#: explicit flag wins over the config file and the file over the default.
+#: default is written only here. A config line ``key = value`` is parsed as
+#: ``--key=value`` ahead of the command line, so both sources pass the same
+#: type and choices, and a flag overrides the file.
 _OPTIONS = {
     "format": {"choices": ["json", "csv"], "default": "json", "help": "machine report format"},
-    "out": {"help": "write the machine report to this file"},
-    "seed": {"type": int, "default": 0, "help": "RNG seed"},
+    "out": {"type": Path, "help": "write the machine report to this file"},
+    "seed": {"type": _integer, "default": 0, "help": "RNG seed"},
     "state": {"default": "singlet", "help": "'singlet' or 'werner:P'"},
     "preset": {"choices": sorted(SETTINGS_PRESETS), "help": "named measurement quadruple"},
-    "trials": {"type": int, "help": f"number of trials (required, at most {MAX_TRIALS})"},
-    "trial_log": {"help": "write sampled trials as CSV"},
-    "restarts": {"type": int, "default": RANDOM_STARTS, "help": "random see-saw starts"},
+    "trials": {"type": _integer, "help": f"number of trials (required, at most {MAX_TRIALS})"},
+    "trial_log": {"type": Path, "help": "write sampled trials as CSV"},
+    "restarts": {"type": _integer, "default": RANDOM_STARTS, "help": "random see-saw starts"},
     "p_min": {"type": float, "default": 0.0, "help": "sweep start"},
     "p_max": {"type": float, "default": 1.0, "help": "sweep end"},
-    "points": {"type": int, "default": 41, "help": "sweep points"},
+    "points": {"type": _integer, "default": 41, "help": f"sweep points, 2 to {MAX_SWEEP_POINTS}"},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation; every field is validated before computation."""
-
-    command: str
-    fmt: str
-    out: Path | None
-    seed: int
-    state: str
-    preset: str | None
-    angles: tuple[tuple[float, float], ...] | None
-    trials: int | None
-    trial_log: Path | None
-    restarts: int
-    p_min: float
-    p_max: float
-    points: int
-    exhaustive: bool
-    weights: tuple[float, ...] | None
 
 
 # --- parsing and resolution --------------------------------------------------
 
 
-def _parse_config_file(path: Path) -> dict:
-    """Flat key=value file; '#' starts a comment, dashes and underscores mix."""
-    values: dict = {}
+def _parse_config_file(path: Path, args: argparse.Namespace) -> list[str]:
+    """Turn a flat ``key = value`` file into ``--key=value`` tokens.
+
+    '#' starts a comment, dashes and underscores mix in keys, and matching
+    quotes around a value are stripped. A key that is not an option of the
+    subcommand parsed into ``args`` is refused with its file:line.
+    """
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,34 +119,23 @@ def _parse_config_file(path: Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _OPTIONS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_config_value(value.strip())
-    return values
+        if key not in _OPTIONS or not hasattr(args, key):
+            raise ValueError(f"{path}:{lineno}: {args.command} takes no config key {key!r}")
+        value = value.strip()
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+            value = value[1:-1]
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
-def _parse_config_value(text: str):
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _resolve(args: argparse.Namespace, config: dict, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, _OPTIONS[key].get("default"))
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse the command line; the lines of a --config file come before its flags."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    rest = argv[argv.index(args.command) + 1:]
+    return parser.parse_args([args.command, *_parse_config_file(args.config, args), *rest])
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -156,63 +151,18 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     raise ValueError(f"unknown state spec {spec!r}; use 'singlet' or 'werner:P'")
 
 
-def _resolve_settings(cfg: RunConfig) -> MeasurementSettings:
-    if cfg.preset is not None and cfg.angles is not None:
+def _resolve_settings(cfg: argparse.Namespace) -> MeasurementSettings:
+    pairs = [cfg.a1, cfg.a2, cfg.b1, cfg.b2]
+    given = sum(pair is not None for pair in pairs)
+    if given not in (0, 4):
+        raise ValueError("explicit settings need all four of --a1 --a2 --b1 --b2")
+    if cfg.preset is not None and given:
         raise ValueError("give either --preset or explicit angles, not both")
     if cfg.preset is not None:
-        try:
-            return SETTINGS_PRESETS[cfg.preset]()
-        except KeyError as exc:
-            raise ValueError(f"unknown settings preset {cfg.preset!r}") from exc
-    if cfg.angles is not None:
-        return settings_from_polar([PolarAngles(t, p) for t, p in cfg.angles])
+        return SETTINGS_PRESETS[cfg.preset]()
+    if given:
+        return settings_from_polar([PolarAngles(t, p) for t, p in pairs])
     raise ValueError("specify --preset or all of --a1 --a2 --b1 --b2 (theta phi in radians)")
-
-
-def _collect_angles(args: argparse.Namespace) -> tuple[tuple[float, float], ...] | None:
-    pairs = [getattr(args, name) for name in ("a1", "a2", "b1", "b2")]
-    given = [p for p in pairs if p is not None]
-    if not given:
-        return None
-    if len(given) != 4:
-        raise ValueError("explicit settings need all four of --a1 --a2 --b1 --b2")
-    return tuple((float(t), float(p)) for t, p in pairs)
-
-
-def _config_for(args: argparse.Namespace) -> RunConfig:
-    config = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    fmt = _resolve(args, config, "format")
-    if fmt not in _OPTIONS["format"]["choices"]:
-        raise ValueError(f"unknown output format {fmt!r}")
-    out = _resolve(args, config, "out")
-    trial_log = _resolve(args, config, "trial_log")
-    return RunConfig(
-        command=args.command,
-        fmt=fmt,
-        out=Path(out) if out is not None else None,
-        seed=_resolve_int(args, config, "seed"),
-        state=_resolve(args, config, "state"),
-        preset=_resolve(args, config, "preset"),
-        angles=_collect_angles(args) if hasattr(args, "a1") else None,
-        trials=_resolve_int(args, config, "trials"),
-        trial_log=Path(trial_log) if trial_log is not None else None,
-        restarts=_resolve_int(args, config, "restarts"),
-        p_min=float(_resolve(args, config, "p_min")),
-        p_max=float(_resolve(args, config, "p_max")),
-        points=_resolve_int(args, config, "points"),
-        exhaustive=bool(getattr(args, "exhaustive", False)),
-        weights=tuple(args.weights) if getattr(args, "weights", None) is not None else None,
-    )
-
-
-def _resolve_int(args: argparse.Namespace, config: dict, key: str) -> int | None:
-    """An integer option; a config value such as 1.9 is refused, not truncated."""
-    value = _resolve(args, config, key)
-    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 # --- report plumbing ----------------------------------------------------------
@@ -263,8 +213,8 @@ def _csv_keyvalue(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _machine_text(cfg: RunConfig, report: dict, csv_text: str | None) -> str:
-    if cfg.fmt == "json":
+def _machine_text(cfg: argparse.Namespace, report: dict, csv_text: str | None) -> str:
+    if cfg.format == "json":
         return json.dumps(_sanitize(report), indent=2, allow_nan=False) + "\n"
     return csv_text if csv_text is not None else _csv_keyvalue(report)
 
@@ -314,7 +264,7 @@ def _bound_lines(result: ChshResult) -> list[str]:
 # --- commands -----------------------------------------------------------------
 
 
-def _run_chsh(cfg: RunConfig):
+def _run_chsh(cfg: argparse.Namespace):
     rho = parse_state_spec(cfg.state)
     settings = _resolve_settings(cfg)
     table = correlator_table(rho, settings)
@@ -336,7 +286,7 @@ def _run_chsh(cfg: RunConfig):
     return report, human, None
 
 
-def _run_optimize(cfg: RunConfig):
+def _run_optimize(cfg: argparse.Namespace):
     rho = parse_state_spec(cfg.state)
     result, trace_info = optimize_settings_traced(rho, random_starts=cfg.restarts, seed=cfg.seed)
     report = {
@@ -368,9 +318,9 @@ def _run_optimize(cfg: RunConfig):
     return report, human, None
 
 
-def _run_werner_sweep(cfg: RunConfig):
-    if cfg.points < 2:
-        raise ValueError(f"sweep needs at least 2 points, got {cfg.points}")
+def _run_werner_sweep(cfg: argparse.Namespace):
+    if not 2 <= cfg.points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep needs 2 to {MAX_SWEEP_POINTS} points, got {cfg.points}")
     if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
         raise ValueError(f"sweep range [{cfg.p_min}, {cfg.p_max}] must sit inside [-1/3, 1]")
     optimizer_kwargs = dict(random_starts=cfg.restarts, seed=cfg.seed)
@@ -415,15 +365,7 @@ def _run_werner_sweep(cfg: RunConfig):
     return report, human, "\n".join(csv_lines) + "\n"
 
 
-def _resolve_lhv_model(cfg: RunConfig) -> tuple[LhvModel, str]:
-    if cfg.preset is not None:
-        if cfg.preset != "uniform16":
-            raise ValueError(f"unknown model preset {cfg.preset!r}")
-        return LhvModel.uniform16(), "uniform16"
-    return LhvModel.from_pattern_weights(cfg.weights), "weights"
-
-
-def _run_lhv(cfg: RunConfig):
+def _run_lhv(cfg: argparse.Namespace):
     chosen = sum([cfg.exhaustive, cfg.preset is not None, cfg.weights is not None])
     if chosen != 1:
         raise ValueError("give exactly one of --exhaustive, --preset, or --weights")
@@ -451,7 +393,10 @@ def _run_lhv(cfg: RunConfig):
         ]
         return report, human, None
 
-    model, model_name = _resolve_lhv_model(cfg)
+    if cfg.preset is not None:
+        model, model_name = LhvModel.uniform16(), "uniform16"
+    else:
+        model, model_name = LhvModel.from_pattern_weights(cfg.weights), "weights"
     table = lhv_correlators_exact(model)
     s = chsh_value(table)
     results = {
@@ -486,11 +431,9 @@ def _run_lhv(cfg: RunConfig):
     return report, human, None
 
 
-def _run_sample(cfg: RunConfig):
+def _run_sample(cfg: argparse.Namespace):
     if cfg.trials is None:
         raise ValueError("sample requires --trials")
-    if cfg.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {cfg.trials}")
     rho = parse_state_spec(cfg.state)
     settings = _resolve_settings(cfg)
     exact = correlator_table(rho, settings)
@@ -524,7 +467,7 @@ def _run_sample(cfg: RunConfig):
     return report, human, None
 
 
-def _write_log_if_requested(cfg: RunConfig, records) -> str | None:
+def _write_log_if_requested(cfg: argparse.Namespace, records) -> str | None:
     if cfg.trial_log is None:
         return None
     with open(cfg.trial_log, "w", encoding="ascii") as stream:
@@ -547,9 +490,8 @@ _RUNNERS = {
 def _add_option(p: argparse.ArgumentParser, key: str, **overrides) -> None:
     """Add ``--key`` as :data:`_OPTIONS` describes it; the help names the default."""
     spec = {**_OPTIONS[key], **overrides}
-    default = spec.pop("default", None)
-    if default is not None:
-        spec["help"] += f" (default {default})"
+    if "default" in spec:
+        spec["help"] += f" (default {spec['default']})"
     p.add_argument("--" + key.replace("_", "-"), **spec)
 
 
@@ -620,23 +562,17 @@ def _emit(machine_text: str, human_lines: list[str], out: Path | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = _config_for(args)
+        cfg = _parse_args(sys.argv[1:] if argv is None else argv)
         report, human, csv_text = _RUNNERS[cfg.command](cfg)
         _emit(_machine_text(cfg, report, csv_text), human, cfg.out)
         return 0
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

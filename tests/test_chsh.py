@@ -249,6 +249,12 @@ def test_horodecki_closed_form_examples():
     assert horodecki_max_s(make_werner(0.0)) == 0.0
 
 
+@pytest.mark.parametrize("p", [1e-300, 1e-158])
+def test_horodecki_max_s_does_not_underflow(p):
+    rho = make_werner(p)
+    assert horodecki_max_s(rho) == pytest.approx(optimize_settings(rho).s_value, rel=1e-12, abs=0.0)
+
+
 def test_trace_reports_gap_and_counts():
     rho = random_density()
     result, trace_info = optimize_settings_traced(rho, random_starts=2, seed=5)

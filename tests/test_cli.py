@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bellsim.chsh import InternalConsistencyError, TSIRELSON_BOUND
+from bellsim import cli
+from bellsim.chsh import MAX_SWEEP_POINTS, InternalConsistencyError, TSIRELSON_BOUND
 from bellsim.cli import REPORT_SCHEMA, main
 from bellsim.lhv import MAX_TRIALS
 
@@ -394,3 +397,121 @@ def test_trials_help_states_the_bound(capsys):
     for command in ("sample", "lhv"):
         _, out, _ = run_cli(capsys, command, "--help")
         assert f"at most {MAX_TRIALS})" in out
+
+
+# --- one parse for flags and config files ----------------------------------------------
+
+
+@pytest.mark.parametrize("line", ["trial_log = never.csv", "points = 5"])
+@pytest.mark.parametrize("command", [["chsh", "--preset", "optimal"], ["optimize"]])
+def test_config_key_the_command_does_not_take_exits_two(capsys, tmp_path, monkeypatch, command, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"# {command[0]}\n{line}\n")
+    code, out, err = run_cli(capsys, *command, "--config", "run.cfg")
+    assert code == 2
+    assert out == ""
+    assert "run.cfg:2:" in err
+    assert repr(line.split()[0]) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("line, flag", [
+    ("format = xml", ["--format", "json"]),
+    ("seed = 1.9", ["--seed", "5"]),
+    ("preset = diagonal", ["--preset", "optimal"]),
+    ("preset = uniform16", ["--preset", "aligned"]),
+])
+def test_bad_config_value_exits_two_under_a_flag(capsys, tmp_path, line, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "chsh", "--config", str(cfg), *flag)
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_one_integer_rule_for_flags_and_file(capsys, tmp_path, via_config):
+    seed = 2**53 + 1
+    values = {"seed": str(seed), "trials": "1e3"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
+    source = ["--config", str(cfg)] if via_config else [f"--{k}={t}" for k, t in values.items()]
+    report = run_json(capsys, "sample", "--preset", "optimal", *source)
+    assert report["inputs"]["seed"] == seed
+    assert report["inputs"]["trials"] == 1000
+
+
+#: A cheap command line that takes each config key.
+CHEAP_COMMANDS = {
+    "format": ["chsh", "--preset", "optimal"],
+    "out": ["chsh", "--preset", "optimal"],
+    "seed": ["chsh", "--preset", "optimal"],
+    "state": ["chsh", "--preset", "optimal"],
+    "preset": ["chsh"],
+    "trials": ["sample", "--preset", "optimal"],
+    "trial_log": ["sample", "--preset", "optimal", "--trials", "10"],
+    "restarts": ["optimize", "--state", "werner:0.9"],
+    "p_min": ["werner-sweep", "--points", "2", "--restarts", "0"],
+    "p_max": ["werner-sweep", "--points", "2", "--restarts", "0"],
+    "points": ["werner-sweep", "--restarts", "0"],
+}
+#: Integers stay small (cheap to run) or far above every bound (refused before work).
+CONFIG_TEXTS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(2**53, 2**70).map(str),
+    st.integers(-(2**70), -(2**53)).map(str),
+    st.floats(-40.0, 40.0).map(repr),
+    st.sampled_from([
+        "1e3", "4.0", "1.9", "nan", "inf", "-inf", "+inf", "true", "false", "1e400",
+        "json", "csv", "xml", "optimal", "aligned", "uniform16", "diagonal",
+        "singlet", "ghz", "werner:", "werner:abc", "werner:nan", "werner:inf",
+    ]),
+    st.floats(-1.0, 1.5).map(lambda p: f"werner:{p!r}"),
+)
+
+
+@pytest.mark.parametrize("key", sorted(cli._OPTIONS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=CONFIG_TEXTS)
+def test_flag_and_config_line_agree(capsys, tmp_path, monkeypatch, key, text):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(f"{key} = {text}\n")
+    command = CHEAP_COMMANDS[key]
+    by_flag = run_cli(capsys, *command, f"--{key.replace('_', '-')}={text}")
+    by_file = run_cli(capsys, *command, "--config", "run.cfg")
+    assert by_flag[0] == by_file[0]
+    assert by_flag[0] in (0, 2), by_flag[2]
+    assert "Traceback" not in by_flag[2] + by_file[2]
+    if by_flag[0] == 0:
+        assert by_flag[1] == by_file[1]
+
+
+class _Searched(Exception):
+    pass
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_sweep_points_above_max_exit_two_before_searching(capsys, tmp_path, monkeypatch, via_config):
+    def no_search(*args, **kwargs):
+        raise _Searched
+
+    monkeypatch.setattr("bellsim.cli.optimize_settings_traced", no_search)
+    monkeypatch.setattr("bellsim.chsh.optimize_settings_traced", no_search)
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"points = {MAX_SWEEP_POINTS + 1}\n")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--points", str(MAX_SWEEP_POINTS + 1)]
+    code, out, err = run_cli(capsys, "werner-sweep", *extra)
+    assert code == 2
+    assert out == ""
+    assert str(MAX_SWEEP_POINTS) in err
+    with pytest.raises(_Searched):
+        main(["werner-sweep", "--points", str(MAX_SWEEP_POINTS)])
+
+
+def test_sweep_points_help_states_the_bound(capsys):
+    _, out, _ = run_cli(capsys, "werner-sweep", "--help")
+    assert f"2 to {MAX_SWEEP_POINTS}" in " ".join(out.split())

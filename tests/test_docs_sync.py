@@ -16,8 +16,6 @@ DEFAULTED = {
     "lhv": set(),
     "sample": {"state"},
 }
-#: RunConfig field of each config key whose field name differs.
-FIELD = {"format": "fmt"}
 
 
 def _subparser(command: str):
@@ -27,14 +25,14 @@ def _subparser(command: str):
 
 @pytest.mark.parametrize("command", sorted(DEFAULTED))
 def test_help_states_the_default_the_parser_uses(command, capsys):
-    used = cli._config_for(cli.build_parser().parse_args([command]))
+    used = cli.build_parser().parse_args([command])
     assert cli.main([command, "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
     checked = set()
     for action in _subparser(command)._actions:
         if action.dest not in cli._OPTIONS or "default" not in cli._OPTIONS[action.dest]:
             continue
-        value = getattr(used, FIELD.get(action.dest, action.dest))
+        value = getattr(used, action.dest)
         assert f"(default {value})" in action.help
         assert " ".join(action.help.split()) in help_text
         checked.add(action.dest)
