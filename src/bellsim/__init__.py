@@ -45,17 +45,7 @@ from .lhv import (
     sample_quantum_experiment,
     write_trial_log,
 )
-from .linalg import (
-    ComplexMatrix,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    identity,
-    matmul,
-    min_eigenvalue_hermitian,
-    tensor_product,
-    trace,
-)
+from .linalg import ComplexMatrix, min_eigenvalue_hermitian
 from .observables import (
     PolarAngles,
     SpinObservable,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .chsh import (
     MAX_SWEEP_POINTS,
+    MAX_SWEEP_STARTS,
     RANDOM_STARTS,
     THRESHOLD_TOL,
     ChshResult,
@@ -77,6 +78,13 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """An :func:`_integer` of at least 0, the lower bound of numpy's seeds."""
+    if (value := _integer(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 #: The options that a config file may also set, as argparse keywords. Each
 #: default is written only here. A config line ``key = value`` is parsed as
 #: ``--key=value`` ahead of the command line, so both sources pass the same
@@ -84,7 +92,7 @@ def _integer(text: str) -> int:
 _OPTIONS = {
     "format": {"choices": ["json", "csv"], "default": "json", "help": "machine report format"},
     "out": {"type": Path, "help": "write the machine report to this file"},
-    "seed": {"type": _integer, "default": 0, "help": "RNG seed"},
+    "seed": {"type": _seed, "default": 0, "help": "RNG seed"},
     "state": {"default": "singlet", "help": "'singlet' or 'werner:P'"},
     "preset": {"choices": sorted(SETTINGS_PRESETS), "help": "named measurement quadruple"},
     "trials": {"type": _integer, "help": f"number of trials (required, at most {MAX_TRIALS})"},
@@ -323,6 +331,8 @@ def _run_werner_sweep(cfg: argparse.Namespace):
         raise ValueError(f"sweep needs 2 to {MAX_SWEEP_POINTS} points, got {cfg.points}")
     if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
         raise ValueError(f"sweep range [{cfg.p_min}, {cfg.p_max}] must sit inside [-1/3, 1]")
+    if (cfg.points + 21) * (cfg.restarts + 1) > MAX_SWEEP_STARTS:  # 21: the threshold searches
+        raise ValueError(f"sweep needs (points + 21) * (restarts + 1) <= {MAX_SWEEP_STARTS} starts")
     optimizer_kwargs = dict(random_starts=cfg.restarts, seed=cfg.seed)
     gaps = []
 

@@ -83,10 +83,10 @@ def to_polar(v: UnitVector3) -> PolarAngles:
 
 @dataclass(frozen=True, eq=False)
 class SpinObservable:
-    """A spin component along ``direction``: Hermitian, traceless, squares to 1."""
+    """A spin component along ``direction``: a read-only 2x2 array, Hermitian, traceless, squaring to 1."""
 
     direction: UnitVector3
-    matrix: ComplexMatrix
+    matrix: np.ndarray
 
 
 def spin_observable(n: UnitVector3) -> SpinObservable:

@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    ComplexMatrix,
-    hermiticity_defect,
-    min_eigenvalue_hermitian,
-    trace,
-)
+from .linalg import ComplexMatrix, hermiticity_defect
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -65,25 +60,29 @@ class StateDiagnostics:
         return self.hermitian_ok and self.trace_ok and self.positive_ok
 
 
-def validate(matrix: ComplexMatrix) -> StateDiagnostics:
-    """Diagnose a candidate two-qubit state without raising on failure."""
-    if matrix.dim != 4:
+def validate(matrix) -> StateDiagnostics:
+    """Diagnose a candidate two-qubit state, any 4x4 array-like of finite entries, without raising on failure."""
+    m = ComplexMatrix(matrix)
+    if m.shape != (4, 4):
         raise ValueError("a two-qubit state must be 4x4")
-    hermitian_part = ComplexMatrix((matrix.entries + matrix.entries.conj().T) / 2)
     return StateDiagnostics(
-        hermiticity_error=hermiticity_defect(matrix),
-        trace_error=abs(trace(matrix) - 1.0),
-        min_eigenvalue=min_eigenvalue_hermitian(hermitian_part),
+        hermiticity_error=hermiticity_defect(m),
+        trace_error=abs(complex(np.trace(m)) - 1.0),
+        min_eigenvalue=float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated two-qubit state: Hermitian, unit trace, positive semidefinite."""
+    """Validated two-qubit state: Hermitian, unit trace, positive semidefinite.
 
-    matrix: ComplexMatrix
+    ``matrix`` is a read-only complex128 copy of the 4x4 array-like given.
+    """
+
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", ComplexMatrix(self.matrix))
         diag = validate(self.matrix)
         if not diag.is_valid:
             raise ValueError(
@@ -106,10 +105,10 @@ _SINGLET_ENTRIES = np.array(
 
 def make_singlet() -> DensityMatrix:
     """Projector onto (ud - du)/sqrt(2) in the (uu, ud, du, dd) basis."""
-    return DensityMatrix(ComplexMatrix(_SINGLET_ENTRIES))
+    return DensityMatrix(_SINGLET_ENTRIES)
 
 
-def werner_matrix(p: float) -> ComplexMatrix:
+def werner_matrix(p: float) -> np.ndarray:
     """Raw Werner combination p * singlet + (1-p)/4 * identity, unvalidated.
 
     Useful for probing out-of-range ``p`` with :func:`validate`; use

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellsim import cli
-from bellsim.chsh import MAX_SWEEP_POINTS, InternalConsistencyError, TSIRELSON_BOUND
+from bellsim.chsh import MAX_SWEEP_POINTS, MAX_SWEEP_STARTS, InternalConsistencyError, TSIRELSON_BOUND
 from bellsim.cli import REPORT_SCHEMA, main
 from bellsim.lhv import MAX_TRIALS
 
@@ -442,6 +442,29 @@ def test_one_integer_rule_for_flags_and_file(capsys, tmp_path, via_config):
     assert report["inputs"]["trials"] == 1000
 
 
+SEED_COMMANDS = [
+    ["chsh", "--preset", "optimal"],
+    ["optimize"],
+    ["werner-sweep", "--points", "2", "--restarts", "0"],
+    ["lhv", "--exhaustive"],
+    ["sample", "--preset", "optimal", "--trials", "10"],
+]
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_negative_seed_exits_two_naming_the_option(capsys, tmp_path, command, via_config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    source = ["--config", str(cfg)] if via_config else ["--seed", "-1"]
+    code, out, err = run_cli(capsys, *command, *source)
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    for seed in ("0", str(2**53 + 1)):
+        assert run_cli(capsys, *command, "--seed", seed)[0] == 0
+
+
 #: A cheap command line that takes each config key.
 CHEAP_COMMANDS = {
     "format": ["chsh", "--preset", "optimal"],
@@ -510,6 +533,31 @@ def test_sweep_points_above_max_exit_two_before_searching(capsys, tmp_path, monk
     assert str(MAX_SWEEP_POINTS) in err
     with pytest.raises(_Searched):
         main(["werner-sweep", "--points", str(MAX_SWEEP_POINTS)])
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_sweep_cost_above_max_exit_two_before_searching(capsys, tmp_path, monkeypatch, via_config):
+    def no_search(*args, **kwargs):
+        raise _Searched
+
+    monkeypatch.setattr("bellsim.cli.optimize_settings_traced", no_search)
+    monkeypatch.setattr("bellsim.chsh.optimize_settings_traced", no_search)
+    values = {"points": str(MAX_SWEEP_POINTS), "restarts": str(MAX_SWEEP_STARTS // (MAX_SWEEP_POINTS + 21))}
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
+        extra = ["--config", str(cfg)]
+    else:
+        extra = [f"--{key}={text}" for key, text in values.items()]
+    code, out, err = run_cli(capsys, "werner-sweep", *extra)
+    assert code == 2
+    assert out == ""
+    assert str(MAX_SWEEP_STARTS) in err
+    restarts_below = str(int(values["restarts"]) - 1)
+    for accepted in (["--points", str(MAX_SWEEP_POINTS), "--restarts", restarts_below],
+                     ["--points", str(MAX_SWEEP_POINTS)], ["--restarts", "10000"]):
+        with pytest.raises(_Searched):
+            main(["werner-sweep", *accepted])
 
 
 def test_sweep_points_help_states_the_bound(capsys):

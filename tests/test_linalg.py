@@ -1,20 +1,13 @@
 import numpy as np
 import pytest
 
-from bellsim.linalg import (
-    ComplexMatrix,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    identity,
-    matmul,
-    min_eigenvalue_hermitian,
-    tensor_product,
-    trace,
-)
-from bellsim.states import werner_matrix
+from bellsim.chsh import _PAULIS, born_expectation, quantum_correlator
+from bellsim.linalg import ComplexMatrix, min_eigenvalue_hermitian
+from bellsim.observables import X_AXIS, Z_AXIS, spin_observable
+from bellsim.states import DensityMatrix, make_singlet, werner_matrix
 
 rng = np.random.default_rng(917)
+PAULI_X, PAULI_Y, PAULI_Z = _PAULIS
 
 
 def random_hermitian(dim):
@@ -22,20 +15,13 @@ def random_hermitian(dim):
     return ComplexMatrix((a + a.conj().T) / 2)
 
 
-def random_matrix(dim):
-    return ComplexMatrix(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-
-
 # --- construction ---------------------------------------------------------
 
 
 def test_rejects_unsupported_dimensions():
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        identity(3)
+    for shape in ((3, 3), (2, 4), (4,), (1, 1), (2, 2, 2)):
+        with pytest.raises(ValueError):
+            ComplexMatrix(np.zeros(shape))
 
 
 def test_rejects_non_finite_entries():
@@ -46,91 +32,65 @@ def test_rejects_non_finite_entries():
 
 
 def test_entries_are_read_only():
-    m = identity(2)
+    source = np.eye(2)
+    m = ComplexMatrix(source)
+    assert isinstance(m, np.ndarray) and m.dtype == np.complex128
     with pytest.raises(ValueError):
-        m.entries[0, 0] = 5.0
+        m[0, 0] = 5.0
+    source[0, 0] = 5.0
+    assert m[0, 0] == 1.0
 
 
-# --- matmul ---------------------------------------------------------------
-
-
-def test_matmul_identity():
-    out = matmul(identity(2), identity(2))
-    assert np.allclose(out.entries, np.eye(2))
+# --- the Pauli table of the correlation tensor ---------------------------------
 
 
 def test_pauli_involution():
-    assert np.allclose(matmul(PAULI_X, PAULI_X).entries, np.eye(2))
+    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+        assert np.array_equal(pauli @ pauli, np.eye(2))
 
 
 def test_pauli_product_x_y():
     # hand multiplication: sigma_x sigma_y = i sigma_z
-    out = matmul(PAULI_X, PAULI_Y)
-    assert np.allclose(out.entries, [[1j, 0], [0, -1j]], atol=1e-15)
+    assert np.array_equal(PAULI_X @ PAULI_Y, 1j * PAULI_Z)
+
+
+def test_trace_examples():
+    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+        assert np.trace(pauli) == 0
+    assert abs(np.trace(make_singlet().matrix) - 1.0) < 1e-15
+
+
+# --- the products of the Born-rule oracle ----------------------------------------
 
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
-        matmul(identity(2), identity(4))
-
-
-def test_matmul_associative():
-    for _ in range(50):
-        a, b, c = (random_matrix(4) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left.entries - right.entries)) <= 1e-12
-
-
-# --- tensor product ---------------------------------------------------------
-
-
-def test_tensor_identity():
-    assert np.allclose(tensor_product(identity(2), identity(2)).entries, np.eye(4))
-
-
-def test_tensor_sigma_z_identity():
-    out = tensor_product(PAULI_Z, identity(2))
-    assert np.allclose(out.entries, np.diag([1, 1, -1, -1]))
+        born_expectation(make_singlet().matrix, PAULI_X)
 
 
 def test_tensor_sigma_z_sigma_z():
-    # hand Kronecker product
-    out = tensor_product(PAULI_Z, PAULI_Z)
-    assert np.allclose(out.entries, np.diag([1, -1, -1, 1]))
+    # sigma_z (x) sigma_z = diag(1, -1, -1, 1) in the basis (uu, ud, du, dd)
+    oz = spin_observable(Z_AXIS)
+    for index, sign in enumerate((1.0, -1.0, -1.0, 1.0)):
+        basis_state = DensityMatrix(np.diag(np.eye(4)[index]))
+        assert quantum_correlator(basis_state, oz, oz) == sign
 
 
-def test_tensor_requires_2x2():
-    with pytest.raises(ValueError):
-        tensor_product(identity(4), identity(2))
-
-
-def test_tensor_trace_multiplicative():
-    for _ in range(200):
-        a, b = random_hermitian(2), random_hermitian(2)
-        lhs = trace(tensor_product(a, b))
-        rhs = trace(a) * trace(b)
-        assert abs(lhs - rhs) <= 1e-12
-
-
-# --- trace ------------------------------------------------------------------
-
-
-def test_trace_examples():
-    assert trace(identity(4)) == 4
-    assert trace(PAULI_X) == 0
-    singlet = ComplexMatrix(
-        [[0, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]]
-    )
-    assert abs(trace(singlet) - 1.0) < 1e-15
+def test_born_oracle_puts_a_first():
+    # |u> (x) |+x>: A along z and B along x are perfectly correlated; swapped, not at all
+    ket = np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2.0)
+    rho = DensityMatrix(np.outer(ket, ket))
+    oz, ox = spin_observable(Z_AXIS), spin_observable(X_AXIS)
+    assert abs(quantum_correlator(rho, oz, ox) - 1.0) <= 1e-15
+    assert abs(quantum_correlator(rho, ox, oz)) <= 1e-15
 
 
 # --- smallest eigenvalue ------------------------------------------------------
 
 
 def test_min_eigenvalue_examples():
-    assert abs(min_eigenvalue_hermitian(identity(4)) - 1.0) <= 1e-10
-    assert abs(min_eigenvalue_hermitian(tensor_product(PAULI_Z, identity(2))) + 1.0) <= 1e-10
+    assert abs(min_eigenvalue_hermitian(np.eye(4)) - 1.0) <= 1e-10
+    assert abs(min_eigenvalue_hermitian(np.kron(PAULI_Z, np.eye(2))) + 1.0) <= 1e-10
     # singlet projector spectrum is {1, 0, 0, 0}
     assert abs(min_eigenvalue_hermitian(werner_matrix(1.0))) <= 1e-10
 
@@ -178,5 +138,5 @@ def test_min_eigenvalue_matches_charpoly_oracle():
     for _ in range(100):
         m = random_hermitian(4)
         got = min_eigenvalue_hermitian(m)
-        want = _min_eigenvalue_by_sign_scan(m.entries)
+        want = _min_eigenvalue_by_sign_scan(m)
         assert abs(got - want) <= 1e-8

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.linalg import PAULI_X, PAULI_Z
+from bellsim.chsh import _PAULIS
 from bellsim.observables import (
     PolarAngles,
     UnitVector3,
@@ -82,21 +82,29 @@ def test_to_polar_roundtrip():
 
 
 def test_spin_observable_axes():
-    assert np.allclose(spin_observable(Z_AXIS).matrix.entries, PAULI_Z.entries)
-    assert np.allclose(spin_observable(X_AXIS).matrix.entries, PAULI_X.entries)
+    pauli_x, _, pauli_z = _PAULIS
+    assert np.allclose(spin_observable(Z_AXIS).matrix, pauli_z)
+    assert np.allclose(spin_observable(X_AXIS).matrix, pauli_x)
 
 
 def test_spin_observable_diagonal_direction():
     inv = 1 / math.sqrt(2)
     obs = spin_observable(UnitVector3(inv, 0.0, inv))
-    assert np.allclose(obs.matrix.entries, [[inv, inv], [inv, -inv]])
-    eigs = np.linalg.eigvalsh(obs.matrix.entries)
+    assert np.allclose(obs.matrix, [[inv, inv], [inv, -inv]])
+    eigs = np.linalg.eigvalsh(obs.matrix)
     assert np.allclose(eigs, [-1.0, 1.0], atol=1e-12)
 
 
 def test_spin_observable_random_directions():
     for _ in range(1000):
-        m = spin_observable(random_direction()).matrix.entries
+        m = spin_observable(random_direction()).matrix
         assert np.max(np.abs(m @ m - np.eye(2))) <= 1e-12
         assert abs(np.trace(m)) <= 1e-15
         assert np.max(np.abs(m - m.conj().T)) <= 1e-15
+
+
+def test_spin_observable_matrix_is_read_only():
+    m = spin_observable(random_direction()).matrix
+    assert m.shape == (2, 2) and m.dtype == np.complex128
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0

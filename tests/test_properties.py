@@ -1,19 +1,27 @@
-"""Property tests: the correlation tensor equals the Born-rule traces, and the
-see-saw search reaches the Horodecki closed form."""
+"""Property tests: the correlation tensor equals the Born-rule traces, the
+see-saw search reaches the Horodecki closed form, and no state or local model
+exceeds its CHSH bound."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellsim.chsh import (
+    CLASSICAL_BOUND,
+    TSIRELSON_BOUND,
     MeasurementSettings,
+    chsh_quantum,
+    chsh_value,
     correlation_tensor,
     correlator_table,
     horodecki_max_s,
     optimize_settings,
     quantum_correlator,
+    tsirelson_check,
 )
-from bellsim.linalg import ComplexMatrix
+from bellsim.lhv import LhvModel, lhv_correlators_exact
 from bellsim.observables import UnitVector3, X_AXIS, Y_AXIS, Z_AXIS, spin_observable
 from bellsim.states import DensityMatrix, make_werner
 
@@ -27,14 +35,14 @@ def _pure(seed: int) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    return DensityMatrix(ComplexMatrix(np.outer(v, v.conj())))
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def _ginibre(seed: int) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
-    return DensityMatrix(ComplexMatrix(m / np.trace(m).real))
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def _product(seed: int) -> DensityMatrix:
@@ -45,12 +53,12 @@ def _product(seed: int) -> DensityMatrix:
         k = rng.normal(size=2) + 1j * rng.normal(size=2)
         kets.append(k / np.linalg.norm(k))
     v = np.kron(*kets)
-    return DensityMatrix(ComplexMatrix(np.outer(v, v.conj())))
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def _classically_correlated(q: float) -> DensityMatrix:
     """q |00><00| + (1 - q) |11><11|: T = diag(0, 0, 1), rank 1 for every q."""
-    return DensityMatrix(ComplexMatrix(np.diag([q, 0.0, 0.0, 1.0 - q]).astype(complex)))
+    return DensityMatrix(np.diag([q, 0.0, 0.0, 1.0 - q]))
 
 
 def _state(kind: str, seed: int) -> DensityMatrix:
@@ -84,6 +92,26 @@ def test_correlation_tensor_matches_born_traces(kind, state_seed, settings_seed)
     table = correlator_table(rho, s)
     born = _born_table(rho, s)
     assert max(abs(x - y) for x, y in zip(table.as_dict().values(), born)) <= BORN_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["pure", "ginibre", "werner"]), state_seed=SEEDS, settings_seed=SEEDS)
+def test_quantum_chsh_within_tsirelson(kind, state_seed, settings_seed):
+    result = chsh_quantum(_state(kind, state_seed), _random_settings(settings_seed))
+    assert abs(result.s_value) <= TSIRELSON_BOUND + 1e-8
+    assert result.within_tsirelson
+    assert tsirelson_check([result])
+
+
+SIMPLEX_POINTS = st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=SIMPLEX_POINTS)
+def test_local_models_within_classical_bound(raw):
+    total = math.fsum(raw)
+    model = LhvModel.from_pattern_weights([w / total for w in raw])
+    assert abs(chsh_value(lhv_correlators_exact(model))) <= CLASSICAL_BOUND + 1e-12
 
 
 def _assert_reaches_closed_form(rho: DensityMatrix, seed: int) -> None:

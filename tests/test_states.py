@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from bellsim.chsh import born_expectation
-from bellsim.linalg import (
-    ComplexMatrix,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    identity,
-    matmul,
-    min_eigenvalue_hermitian,
-    tensor_product,
-    trace,
-)
+from bellsim.chsh import _PAULIS, born_expectation, correlation_tensor
+from bellsim.linalg import ComplexMatrix, min_eigenvalue_hermitian
 from bellsim.states import (
     DensityMatrix,
     Visibility,
@@ -36,13 +26,13 @@ SINGLET_EXPECTED = np.array(
 
 def test_singlet_matrix_entries():
     rho = make_singlet()
-    assert np.array_equal(rho.matrix.entries, SINGLET_EXPECTED)
-    assert abs(trace(rho.matrix) - 1.0) < 1e-15
+    assert np.array_equal(rho.matrix, SINGLET_EXPECTED)
+    assert abs(np.trace(rho.matrix) - 1.0) < 1e-15
 
 
 def test_singlet_is_pure():
     rho = make_singlet()
-    purity = trace(matmul(rho.matrix, rho.matrix)).real
+    purity = np.trace(rho.matrix @ rho.matrix).real
     assert abs(purity - 1.0) <= 1e-12
 
 
@@ -53,19 +43,19 @@ def test_singlet_min_eigenvalue_zero():
 
 def test_singlet_marginals_maximally_mixed():
     rho = make_singlet()
-    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-        assert abs(born_expectation(rho.matrix, tensor_product(pauli, identity(2)))) <= 1e-12
-        assert abs(born_expectation(rho.matrix, tensor_product(identity(2), pauli))) <= 1e-12
+    for pauli in _PAULIS:
+        assert abs(born_expectation(rho.matrix, np.kron(pauli, np.eye(2)))) <= 1e-12
+        assert abs(born_expectation(rho.matrix, np.kron(np.eye(2), pauli))) <= 1e-12
 
 
 def test_werner_p0_is_white_noise():
     rho = make_werner(0.0)
-    assert np.allclose(rho.matrix.entries, np.eye(4) / 4)
+    assert np.allclose(rho.matrix, np.eye(4) / 4)
 
 
 def test_werner_p1_is_singlet():
     rho = make_werner(1.0)
-    assert np.allclose(rho.matrix.entries, SINGLET_EXPECTED)
+    assert np.allclose(rho.matrix, SINGLET_EXPECTED)
 
 
 def test_werner_boundary_minus_third():
@@ -92,10 +82,10 @@ def test_werner_spectrum_matches_closed_form():
         w = werner_matrix(p)
         lams = np.array([(1 + 3 * p) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4])
         assert abs(min_eigenvalue_hermitian(w) - lams.min()) <= 1e-10
-        assert abs(trace(w).real - lams.sum()) <= 1e-10
-        w2 = matmul(w, w)
-        assert abs(trace(w2).real - np.sum(lams**2)) <= 1e-10
-        assert abs(trace(matmul(w2, w)).real - np.sum(lams**3)) <= 1e-10
+        assert abs(np.trace(w).real - lams.sum()) <= 1e-10
+        w2 = w @ w
+        assert abs(np.trace(w2).real - np.sum(lams**2)) <= 1e-10
+        assert abs(np.trace(w2 @ w).real - np.sum(lams**3)) <= 1e-10
 
 
 def test_validate_reports_negative_eigenvalue():
@@ -107,7 +97,7 @@ def test_validate_reports_negative_eigenvalue():
 
 
 def test_validate_reports_trace_failure():
-    diag = validate(identity(4))
+    diag = validate(np.eye(4))
     assert not diag.is_valid
     assert not diag.trace_ok
     assert diag.trace_error == pytest.approx(3.0, abs=1e-12)
@@ -115,22 +105,58 @@ def test_validate_reports_trace_failure():
 
 
 def test_validate_reports_hermiticity_failure():
-    m = ComplexMatrix(np.eye(4) / 4 + np.diag([1j * 1e-3, 0, 0, 0], 1)[:4, :4])
-    diag = validate(m)
+    diag = validate(np.eye(4) / 4 + np.diag([1j * 1e-3, 0, 0, 0], 1)[:4, :4])
     assert not diag.hermitian_ok
     assert diag.hermiticity_error == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_validate_requires_4x4():
     with pytest.raises(ValueError):
-        validate(identity(2))
+        validate(np.eye(2))
 
 
 def test_density_matrix_rejects_invalid():
     with pytest.raises(ValueError):
         DensityMatrix(werner_matrix(1.2))
     with pytest.raises(ValueError):
-        DensityMatrix(identity(4))
+        DensityMatrix(np.eye(4))
+
+
+@pytest.mark.parametrize("bad", [
+    np.where(np.eye(4) == 1, np.nan, 0.0),
+    np.where(np.eye(4) == 1, np.inf, 0.0),
+    np.eye(3) / 3,
+    np.eye(2) / 2,
+], ids=["nan", "inf", "3x3", "2x2"])
+def test_density_matrix_rejects_non_finite_and_wrong_shape(bad):
+    with pytest.raises(ValueError):
+        DensityMatrix(bad)
+
+
+def _ginibre(seed):
+    g = np.random.default_rng(seed).normal(size=(4, 4, 2)) @ [1, 1j]
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_density_matrix_from_list_array_or_complex_matrix(seed):
+    m = _ginibre(seed)
+    states = [DensityMatrix(m.tolist()), DensityMatrix(m), DensityMatrix(ComplexMatrix(m))]
+    for rho in states:
+        assert rho.matrix.dtype == np.complex128
+        assert np.array_equal(rho.matrix, states[0].matrix)
+        assert np.array_equal(correlation_tensor(rho), correlation_tensor(states[0]))
+
+
+def test_density_matrix_is_read_only_and_owns_its_entries():
+    source = SINGLET_EXPECTED.copy()
+    rho = DensityMatrix(source)
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+    source[1, 1] = source[2, 2] = 0.0
+    source[0, 0] = source[3, 3] = 0.5
+    assert np.array_equal(rho.matrix, SINGLET_EXPECTED)
 
 
 def test_visibility_range():
