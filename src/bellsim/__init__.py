@@ -35,7 +35,6 @@ from .lhv import (
     MAX_TRIALS,
     RESPONSE_PATTERNS,
     TrialLog,
-    TrialRecord,
     bell_operator_integrand,
     classical_bound_exhaustive,
     deterministic_chsh_values,

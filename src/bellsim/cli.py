@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from .chsh import (
+    MAX_RANDOM_STARTS,
     MAX_SWEEP_POINTS,
     MAX_SWEEP_STARTS,
     RANDOM_STARTS,
@@ -78,6 +79,15 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
+def _bounded(low: int, high: int):
+    """The :func:`_integer` type that also refuses values outside ``[low, high]``."""
+    def bounded_integer(text: str) -> int:
+        if not low <= (value := _integer(text)) <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}], got {text!r}")
+        return value
+    return bounded_integer
+
+
 def _seed(text: str) -> int:
     """An :func:`_integer` of at least 0, the lower bound of numpy's seeds."""
     if (value := _integer(text)) < 0:
@@ -95,12 +105,12 @@ _OPTIONS = {
     "seed": {"type": _seed, "default": 0, "help": "RNG seed"},
     "state": {"default": "singlet", "help": "'singlet' or 'werner:P'"},
     "preset": {"choices": sorted(SETTINGS_PRESETS), "help": "named measurement quadruple"},
-    "trials": {"type": _integer, "help": f"number of trials (required, at most {MAX_TRIALS})"},
+    "trials": {"type": _bounded(1, MAX_TRIALS), "help": f"number of trials (required, at most {MAX_TRIALS})"},
     "trial_log": {"type": Path, "help": "write sampled trials as CSV"},
-    "restarts": {"type": _integer, "default": RANDOM_STARTS, "help": "random see-saw starts"},
+    "restarts": {"type": _bounded(0, MAX_RANDOM_STARTS), "default": RANDOM_STARTS, "help": "random see-saw starts"},
     "p_min": {"type": float, "default": 0.0, "help": "sweep start"},
     "p_max": {"type": float, "default": 1.0, "help": "sweep end"},
-    "points": {"type": _integer, "default": 41, "help": f"sweep points, 2 to {MAX_SWEEP_POINTS}"},
+    "points": {"type": _bounded(2, MAX_SWEEP_POINTS), "default": 41, "help": f"sweep points, 2 to {MAX_SWEEP_POINTS}"},
 }
 
 
@@ -327,8 +337,6 @@ def _run_optimize(cfg: argparse.Namespace):
 
 
 def _run_werner_sweep(cfg: argparse.Namespace):
-    if not 2 <= cfg.points <= MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep needs 2 to {MAX_SWEEP_POINTS} points, got {cfg.points}")
     if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
         raise ValueError(f"sweep range [{cfg.p_min}, {cfg.p_max}] must sit inside [-1/3, 1]")
     if (cfg.points + 21) * (cfg.restarts + 1) > MAX_SWEEP_STARTS:  # 21: the threshold searches
@@ -420,9 +428,9 @@ def _run_lhv(cfg: argparse.Namespace):
     human.append(f"S   = {_fmt9(s)}")
     diagnostics: dict = {"labels": list(model.labels)}
     if cfg.trials is not None:
-        estimate, records = sample_lhv_experiment(model, cfg.trials, cfg.seed)
+        estimate, log = sample_lhv_experiment(model, cfg.trials, cfg.seed)
         results["estimate"] = _estimate_dict(estimate)
-        diagnostics["trial_log"] = _write_log_if_requested(cfg, records)
+        diagnostics["trial_log"] = _write_log_if_requested(cfg, log)
         human.append(
             f"sampled S = {_fmt9(estimate.s_estimate)} +- {_fmt9(estimate.s_std_error)} "
             f"({cfg.trials} trials, seed {cfg.seed})"
@@ -448,8 +456,8 @@ def _run_sample(cfg: argparse.Namespace):
     settings = _resolve_settings(cfg)
     exact = correlator_table(rho, settings)
     exact_s = chsh_value(exact)
-    estimate, records = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
-    log_path = _write_log_if_requested(cfg, records)
+    estimate, log = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
+    log_path = _write_log_if_requested(cfg, log)
     report = {
         "command": "sample",
         "inputs": {
@@ -477,11 +485,11 @@ def _run_sample(cfg: argparse.Namespace):
     return report, human, None
 
 
-def _write_log_if_requested(cfg: argparse.Namespace, records) -> str | None:
+def _write_log_if_requested(cfg: argparse.Namespace, log) -> str | None:
     if cfg.trial_log is None:
         return None
     with open(cfg.trial_log, "w", encoding="ascii") as stream:
-        write_trial_log(records, stream)
+        write_trial_log(log, stream)
     return str(cfg.trial_log)
 
 

@@ -9,11 +9,9 @@ equivalent, for CHSH statistics, to a mixture of the 16 sign patterns.
 
 from __future__ import annotations
 
-import csv
 import math
-import operator
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -109,25 +107,12 @@ def classical_bound_exhaustive() -> float:
     return max(abs(s) for s in deterministic_chsh_values())
 
 
-
-
 #: Largest trial count the samplers accept. Every trial stays in memory, and
 #: a CLI run peaked at about 20 bytes per trial above the 37 MB of the import
 #: (237 MB for 1e7 trials of ``sample``, 207 MB for ``lhv --preset
 #: uniform16``), so the largest run needs about 2 GB. Larger counts are
 #: refused before any draw.
 MAX_TRIALS = 10**8
-
-
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One experimental run: chosen settings (1 or 2 each) and +-1 outcomes."""
-
-    trial_index: int
-    a_setting: int
-    b_setting: int
-    a_outcome: int
-    b_outcome: int
 
 
 def _all_in(column: np.ndarray, allowed: tuple[int, int]) -> bool:
@@ -138,10 +123,7 @@ def _all_in(column: np.ndarray, allowed: tuple[int, int]) -> bool:
 class TrialLog:
     """Sampled trials as four int8 columns; trial ``i`` is row ``i``.
 
-    Indexing with an int and iteration yield :class:`TrialRecord` values, a
-    slice yields a list of them, and a log equals another log or a ``list``
-    of records holding the same trials in the same order. So a log reads
-    like the list of records it replaces, without one object per trial.
+    A log equals another log holding the same trials in the same order.
     """
 
     a_setting: np.ndarray
@@ -166,20 +148,9 @@ class TrialLog:
     def __len__(self) -> int:
         return len(self.a_setting)
 
-    def __iter__(self) -> Iterator[TrialRecord]:
-        return map(TrialRecord, range(len(self)), *(c.tolist() for c in self._columns))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(TrialRecord, range(len(self))[index], *(c[index].tolist() for c in self._columns)))
-        i = range(len(self))[index]
-        return TrialRecord(i, *(int(c[i]) for c in self._columns))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, TrialLog):
             return all(map(np.array_equal, self._columns, other._columns))
-        if isinstance(other, list):
-            return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
 
 
@@ -206,32 +177,21 @@ class EstimatedTable:
         return math.sqrt(sum(se * se for se in self.std_errors))
 
 
-def _estimate(log: TrialLog) -> EstimatedTable:
+def estimate_from_records(log: TrialLog) -> EstimatedTable:
+    """Estimate the correlator table from a non-empty :class:`TrialLog`."""
+    if not len(log):
+        raise ValueError("cannot estimate correlators from an empty trial log")
     # One tally over 8 bins: the setting pair 2*(j-1) + (k-1), plus 4 when the outcomes agree.
     same = (log.a_outcome == log.b_outcome).view(np.int8)
     tally = np.bincount(4 * same + 2 * (log.a_setting - 1) + (log.b_setting - 1), minlength=8).reshape(2, 4)
     counts = tuple(tally.sum(axis=0).tolist())
     entries, errors = [], []
     for n, n_same in zip(counts, tally[1].tolist()):
-        if n == 0:
-            e, se = 0.0, math.inf
-        else:
-            # Exact integers divided once, as in the mean of the +-1 products.
-            e = (2 * n_same - n) / n
-            se = math.sqrt(max(1.0 - e * e, 0.0) / n)
+        # Exact integers divided once, as in the mean of the +-1 products; a pair with no trials gives 0 +- inf.
+        e = (2 * n_same - n) / n if n else 0.0
         entries.append(e)
-        errors.append(se)
+        errors.append(math.sqrt(max(1.0 - e * e, 0.0) / n) if n else math.inf)
     return EstimatedTable(table=CorrelatorTable(*entries), counts=counts, std_errors=tuple(errors))
-
-
-def estimate_from_records(records: Iterable[TrialRecord]) -> EstimatedTable:
-    """Recompute the estimated table from a :class:`TrialLog` or any iterable of records."""
-    if not isinstance(records, TrialLog):
-        rows = [(r.a_setting, r.b_setting, r.a_outcome, r.b_outcome) for r in records]
-        records = TrialLog(*np.array(rows).reshape(-1, 4).T)
-    if not len(records):
-        raise ValueError("cannot estimate correlators from an empty trial log")
-    return _estimate(records)
 
 
 def _check_trials(n_trials: int) -> None:
@@ -259,7 +219,7 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     a_out, b_out = resp[lam, a_set - 1], resp[lam, b_set + 1]
     del lam  # 8 B per trial, which the estimate would hold on to
     log = TrialLog(a_set, b_set, a_out, b_out)
-    return _estimate(log), log
+    return estimate_from_records(log), log
 
 
 def sample_quantum_experiment(
@@ -283,7 +243,7 @@ def sample_quantum_experiment(
     p_same = (1.0 + np.array([[e_table.e11, e_table.e12], [e_table.e21, e_table.e22]])) / 2.0
     same = rng.random(n_trials) < p_same[a_set - 1, b_set - 1]
     log = TrialLog(a_set, b_set, a_out, np.where(same, a_out, -a_out))
-    return _estimate(log), log
+    return estimate_from_records(log), log
 
 
 TRIAL_LOG_HEADER = ("trial", "a_setting", "b_setting", "a_outcome", "b_outcome")
@@ -298,17 +258,20 @@ _ROW_TAILS = (
 _BLOCK = 10**4
 
 
-def _write_log_rows(log: TrialLog, stream: IO[str]) -> None:
-    """Format the rows in blocks of 10^4 trials as byte arrays with NUL padding, then drop the NULs.
+def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
+    """Write trials as CSV: a header, then one row per trial numbered from 0.
 
-    In the block starting at trial ``h * 10^4`` every index is ``str(h)``
-    followed by the four digits of the low part, zero-padded unless ``h`` is
-    0, where the leading zeros are blanked to NUL instead.
+    The rows are formatted in blocks of 10^4 trials as byte arrays with NUL
+    padding, then the NULs are dropped. In the block starting at trial
+    ``h * 10^4`` every index is ``str(h)`` followed by the four digits of the
+    low part, zero-padded unless ``h`` is 0, where the leading zeros are
+    blanked to NUL instead.
     """
     low = np.arange(_BLOCK)[:, None]
     place = np.array([1000, 100, 10, 1])
     padded = (low // place % 10 + ord("0")).astype(np.uint8)
     unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
+    stream.write(",".join(TRIAL_LOG_HEADER) + "\n")
     for start in range(0, len(log), _BLOCK):
         a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._columns)
         code = 8 * (a_set - 1) + 4 * (b_set - 1) + 2 * (a_out < 0) + (b_out < 0)
@@ -319,18 +282,3 @@ def _write_log_rows(log: TrialLog, stream: IO[str]) -> None:
             _ROW_TAILS[code],
         ])
         stream.write(rows[rows != 0].tobytes().decode("ascii"))
-
-
-def write_trial_log(records: Iterable[TrialRecord], stream: IO[str]) -> None:
-    """Write trials as CSV: one row per trial, settings in {1,2}, outcomes in {+1,-1}.
-
-    A :class:`TrialLog` is numbered from 0 and written in blocks; any other
-    iterable of records is written row by row with its own ``trial_index``.
-    """
-    stream.write(",".join(TRIAL_LOG_HEADER) + "\n")
-    if isinstance(records, TrialLog):
-        _write_log_rows(records, stream)
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    for r in records:
-        writer.writerow((r.trial_index, r.a_setting, r.b_setting, r.a_outcome, r.b_outcome))

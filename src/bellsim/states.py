@@ -62,7 +62,11 @@ class StateDiagnostics:
 
 def validate(matrix) -> StateDiagnostics:
     """Diagnose a candidate two-qubit state, any 4x4 array-like of finite entries, without raising on failure."""
-    m = ComplexMatrix(matrix)
+    return _diagnose(ComplexMatrix(matrix))
+
+
+def _diagnose(m: np.ndarray) -> StateDiagnostics:
+    """:func:`validate` on a matrix that :func:`ComplexMatrix` already copied and checked."""
     if m.shape != (4, 4):
         raise ValueError("a two-qubit state must be 4x4")
     return StateDiagnostics(
@@ -83,7 +87,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", ComplexMatrix(self.matrix))
-        diag = validate(self.matrix)
+        diag = _diagnose(self.matrix)
         if not diag.is_valid:
             raise ValueError(
                 "invalid density matrix: "
@@ -109,12 +113,12 @@ def make_singlet() -> DensityMatrix:
 
 
 def werner_matrix(p: float) -> np.ndarray:
-    """Raw Werner combination p * singlet + (1-p)/4 * identity, unvalidated.
+    """Raw Werner combination p * singlet + (1-p)/4 * identity, unvalidated, as a real array.
 
     Useful for probing out-of-range ``p`` with :func:`validate`; use
     :func:`make_werner` to obtain a guaranteed state.
     """
-    return ComplexMatrix(p * _SINGLET_ENTRIES + (1.0 - p) / 4.0 * np.eye(4))
+    return p * _SINGLET_ENTRIES + (1.0 - p) / 4.0 * np.eye(4)
 
 
 def make_werner(p: float) -> DensityMatrix:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellsim import cli
-from bellsim.chsh import MAX_SWEEP_POINTS, MAX_SWEEP_STARTS, InternalConsistencyError, TSIRELSON_BOUND
+from bellsim.chsh import (
+    MAX_RANDOM_STARTS, MAX_SWEEP_POINTS, MAX_SWEEP_STARTS, InternalConsistencyError, TSIRELSON_BOUND,
+)
 from bellsim.cli import REPORT_SCHEMA, main
 from bellsim.lhv import MAX_TRIALS
 
@@ -563,3 +565,33 @@ def test_sweep_cost_above_max_exit_two_before_searching(capsys, tmp_path, monkey
 def test_sweep_points_help_states_the_bound(capsys):
     _, out, _ = run_cli(capsys, "werner-sweep", "--help")
     assert f"2 to {MAX_SWEEP_POINTS}" in " ".join(out.split())
+
+
+@pytest.mark.parametrize("command, key, low, high", [
+    (["sample", "--preset", "optimal"], "trials", 1, MAX_TRIALS),
+    (["lhv", "--preset", "uniform16"], "trials", 1, MAX_TRIALS),
+    (["optimize"], "restarts", 0, MAX_RANDOM_STARTS),
+    (["werner-sweep", "--points", "2"], "restarts", 0, MAX_RANDOM_STARTS),
+    (["werner-sweep", "--restarts", "0"], "points", 2, MAX_SWEEP_POINTS),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+@pytest.mark.parametrize("via_config", [False, True])
+def test_integer_out_of_range_exits_two_naming_the_option(
+    capsys, tmp_path, monkeypatch, command, key, low, high, via_config
+):
+    def no_work(*args, **kwargs):
+        raise _Searched
+
+    for target in ("bellsim.cli.optimize_settings_traced", "bellsim.chsh.optimize_settings_traced",
+                   "numpy.random.default_rng"):
+        monkeypatch.setattr(target, no_work)
+    cfg = tmp_path / "run.cfg"
+    for value in (low - 1, high + 1):
+        cfg.write_text(f"{key} = {value}\n")
+        source = ["--config", str(cfg)] if via_config else [f"--{key}", str(value)]
+        code, out, err = run_cli(capsys, *command, *source)
+        assert code == 2
+        assert out == ""
+        assert f"argument --{key}: expected an integer in [{low}, {high}], got '{value}'" in err
+    for value in (low, high):
+        with pytest.raises(_Searched):
+            main([*command, f"--{key}", str(value)])

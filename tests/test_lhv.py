@@ -9,7 +9,7 @@ from bellsim.chsh import singlet_optimal_settings
 from bellsim.lhv import (
     LhvModel,
     RESPONSE_PATTERNS,
-    TrialRecord,
+    TrialLog,
     bell_operator_integrand,
     classical_bound_exhaustive,
     deterministic_chsh_values,
@@ -150,7 +150,7 @@ def test_deterministic_model_samples_exactly():
     assert estimate.std_errors == (0.0, 0.0, 0.0, 0.0)
     assert sum(estimate.counts) == 1000
     assert len(records) == 1000
-    assert all(r.a_outcome == 1 and r.b_outcome == 1 for r in records[:50])
+    assert (records.a_outcome == 1).all() and (records.b_outcome == 1).all()
 
 
 def test_uniform16_sample_within_four_sigma():
@@ -202,7 +202,7 @@ def test_estimate_from_records_matches_sampler():
 
 def test_estimate_from_records_rejects_empty():
     with pytest.raises(ValueError):
-        estimate_from_records([])
+        estimate_from_records(TrialLog(*np.empty((4, 0), dtype=np.int8)))
 
 
 # --- sampled quantum experiments ---------------------------------------------------
@@ -213,9 +213,9 @@ def test_perfect_anticorrelation_pair():
     estimate, records = sample_quantum_experiment(table, 20000, seed=8)
     assert estimate.table.e11 == -1.0
     assert estimate.std_errors[0] == 0.0
-    for r in records:
-        if r.a_setting == 1 and r.b_setting == 1:
-            assert r.b_outcome == -r.a_outcome
+    pair_11 = (records.a_setting == 1) & (records.b_setting == 1)
+    assert pair_11.any()
+    assert (records.b_outcome[pair_11] == -records.a_outcome[pair_11]).all()
 
 
 def test_singlet_sampling_hits_tsirelson_within_four_sigma():
@@ -236,8 +236,8 @@ def test_subthreshold_werner_sampling_stays_classical():
 def test_quantum_sampling_marginals_unbiased():
     exact = correlator_table(make_singlet(), singlet_optimal_settings())
     _, records = sample_quantum_experiment(exact, 10**5, seed=21)
-    a_mean = np.mean([r.a_outcome for r in records])
-    b_mean = np.mean([r.b_outcome for r in records])
+    a_mean = np.mean(records.a_outcome)
+    b_mean = np.mean(records.b_outcome)
     bound = 4.0 / math.sqrt(len(records))
     assert abs(a_mean) <= bound
     assert abs(b_mean) <= bound
@@ -260,10 +260,7 @@ def test_std_error_formula():
 
 
 def test_trial_log_format():
-    records = [
-        TrialRecord(0, 1, 2, 1, -1),
-        TrialRecord(1, 2, 1, -1, -1),
-    ]
+    records = TrialLog([1, 2], [2, 1], [1, -1], [-1, -1])
     buf = io.StringIO()
     write_trial_log(records, buf)
     assert buf.getvalue() == (
@@ -271,17 +268,6 @@ def test_trial_log_format():
         "0,1,2,1,-1\n"
         "1,2,1,-1,-1\n"
     )
-
-
-def test_trial_log_roundtrip():
-    _, records = sample_lhv_experiment(LhvModel.uniform16(), 500, seed=12)
-    buf = io.StringIO()
-    write_trial_log(records, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "trial,a_setting,b_setting,a_outcome,b_outcome"
-    parsed = [TrialRecord(*(int(x) for x in line.split(","))) for line in lines[1:]]
-    assert parsed == records
-    assert estimate_from_records(parsed).table.as_dict() == estimate_from_records(records).table.as_dict()
 
 
 def test_trial_log_bytes_identical_for_same_seed():

@@ -166,3 +166,21 @@ def test_visibility_range():
         Visibility(1.0 + 1e-9)
     with pytest.raises(ValueError):
         Visibility(-1.0 / 3.0 - 1e-9)
+
+
+def test_each_state_copies_and_checks_its_array_once(monkeypatch):
+    calls = []
+
+    def counting(entries):
+        calls.append(entries)
+        return ComplexMatrix(entries)
+
+    monkeypatch.setattr("bellsim.states.ComplexMatrix", counting)
+    for build in (make_singlet, lambda: make_werner(0.5), lambda: DensityMatrix(_ginibre(0)),
+                  lambda: validate(werner_matrix(1.2))):
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    for bad in (np.eye(3) / 3, np.eye(2) / 2, np.where(np.eye(4) == 1, np.nan, 0.0)):
+        with pytest.raises(ValueError):
+            validate(bad)

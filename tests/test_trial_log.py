@@ -3,18 +3,18 @@
 import io
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellsim.chsh import CorrelatorTable, correlator_table, singlet_optimal_settings
 from bellsim.cli import main
 from bellsim.lhv import (
     MAX_TRIALS,
     LhvModel,
+    TRIAL_LOG_HEADER,
     TrialLog,
-    TrialRecord,
     estimate_from_records,
     sample_lhv_experiment,
     sample_quantum_experiment,
@@ -22,56 +22,35 @@ from bellsim.lhv import (
 )
 from bellsim.states import make_singlet
 
-RECORDS = [
-    TrialRecord(0, 1, 2, 1, -1),
-    TrialRecord(1, 2, 1, -1, -1),
-    TrialRecord(2, 2, 2, 1, 1),
-    TrialRecord(3, 1, 1, -1, 1),
-]
+
+def columns(log: TrialLog) -> tuple[np.ndarray, ...]:
+    return (log.a_setting, log.b_setting, log.a_outcome, log.b_outcome)
 
 
-def small_log() -> TrialLog:
-    return TrialLog(*np.array([(r.a_setting, r.b_setting, r.a_outcome, r.b_outcome) for r in RECORDS]).T)
+def row_writer(log: TrialLog) -> str:
+    """The trial log CSV written one row at a time: the oracle of the block writer."""
+    rows = zip(range(len(log)), *(c.tolist() for c in columns(log)))
+    return "".join(",".join(map(str, row)) + "\n" for row in [TRIAL_LOG_HEADER, *rows])
 
 
 def test_columns_are_int8():
-    log = small_log()
-    assert all(c.dtype == np.int8 for c in (log.a_setting, log.b_setting, log.a_outcome, log.b_outcome))
+    log = TrialLog([1, 2, 2, 1], [2, 1, 2, 1], [1, -1, 1, -1], [-1, -1, 1, 1])
+    assert all(c.dtype == np.int8 for c in columns(log))
     _, sampled = sample_quantum_experiment(CorrelatorTable(0.5, 0.5, 0.5, -0.5), 100, seed=1)
     assert sampled.b_outcome.dtype == np.int8
 
 
-def test_len_index_slice_and_iteration():
-    log = small_log()
-    assert len(log) == 4
-    assert log[0] == RECORDS[0]
-    assert log[3] == RECORDS[3]
-    assert log[-1] == RECORDS[-1]
-    assert log[-4] == RECORDS[0]
-    assert log[1:3] == RECORDS[1:3]
-    assert log[::-2] == RECORDS[::-2]
-    assert log[10:] == []
-    assert list(log) == RECORDS
-    assert [r.trial_index for r in log] == [0, 1, 2, 3]
-    for bad in (4, -5):
-        with pytest.raises(IndexError):
-            log[bad]
-
-
 def test_equality_in_both_directions():
     _, log = sample_lhv_experiment(LhvModel.uniform16(), 3000, seed=2)
-    records = list(log)
-    assert log == records and records == log
-    assert not (log != records) and not (records != log)
-    changed = records[:-1] + [replace(records[-1], a_setting=3 - records[-1].a_setting)]
-    assert log != changed and changed != log
-    assert log != records[:-1] and records[:-1] != log
-    renumbered = [replace(r, trial_index=r.trial_index + 1) for r in records]
-    assert log != renumbered and renumbered != log
     _, same = sample_lhv_experiment(LhvModel.uniform16(), 3000, seed=2)
     _, other = sample_lhv_experiment(LhvModel.uniform16(), 3000, seed=3)
-    assert log == same and log != other
-    assert log != tuple(records)
+    assert len(log) == 3000
+    assert log == same and same == log and not (log != same)
+    assert log != other and other != log
+    a_set, b_set, a_out, b_out = columns(log)
+    assert log != TrialLog(a_set, b_set, a_out, np.append(b_out[:-1], -b_out[-1]))
+    assert log != TrialLog(a_set[:-1], b_set[:-1], a_out[:-1], b_out[:-1])
+    assert log != columns(log) and log != list(columns(log))
 
 
 def test_log_rejects_malformed_columns():
@@ -84,13 +63,11 @@ def test_log_rejects_malformed_columns():
         TrialLog(one, one, np.array([0]), one)
     with pytest.raises(ValueError):
         TrialLog(one, one, one, np.array([257]))
-    with pytest.raises(ValueError):
-        estimate_from_records([TrialRecord(0, 1, 1, 1, 2)])
 
 
-def _reference_estimate(records):
+def _reference_estimate(log):
     """The mean of the +-1 products per setting pair, as the samplers computed it before the tally."""
-    arr = np.array([(r.a_setting, r.b_setting, r.a_outcome, r.b_outcome) for r in records])
+    arr = np.column_stack(columns(log)).astype(np.int64)
     prod = (arr[:, 2] * arr[:, 3]).astype(float)
     out = []
     for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
@@ -105,13 +82,6 @@ def test_tally_estimate_is_bit_identical_to_mean_of_products(seed):
     estimate, log = sample_quantum_experiment(exact, 20001, seed=seed)
     reference = _reference_estimate(log)
     assert list(zip(estimate.table.as_dict().values(), estimate.counts)) == reference
-
-
-def test_estimate_from_log_matches_estimate_from_list():
-    estimate, log = sample_lhv_experiment(LhvModel.uniform16(), 5000, seed=11)
-    from_log = estimate_from_records(log)
-    from_list = estimate_from_records(list(log))
-    assert from_log == from_list == estimate
 
 
 @pytest.mark.parametrize("sampler, source", [
@@ -136,31 +106,30 @@ def test_single_trial_report_has_null_errors(capsys):
     assert estimate["s_std_error"] is None
 
 
-def test_hand_built_records_keep_their_trial_indices():
-    records = [
-        TrialRecord(7, 1, 2, 1, -1),
-        TrialRecord(3, 2, 2, -1, -1),
-        TrialRecord(120, 1, 1, 1, 1),
-    ]
-    buf = io.StringIO()
-    write_trial_log(records, buf)
-    assert buf.getvalue() == (
-        "trial,a_setting,b_setting,a_outcome,b_outcome\n"
-        "7,1,2,1,-1\n"
-        "3,2,2,-1,-1\n"
-        "120,1,1,1,1\n"
-    )
-
-
 @pytest.mark.parametrize("n", [1, 9999, 10000, 10001, 123457])
 def test_block_writer_matches_row_writer(n):
-    """The block writer of a TrialLog gives the bytes of the per-record CSV writer."""
+    """The block writer of a TrialLog gives the bytes of the row-by-row writer."""
     _, log = sample_lhv_experiment(LhvModel.uniform16(), n, seed=n)
-    blocks, rows = io.StringIO(), io.StringIO()
+    blocks = io.StringIO()
     write_trial_log(log, blocks)
-    write_trial_log(iter(list(log)), rows)
-    assert blocks.getvalue() == rows.getvalue()
+    assert blocks.getvalue() == row_writer(log)
     assert blocks.tell() == len(blocks.getvalue())
+
+
+@settings(max_examples=250, deadline=None)
+@given(n=st.integers(1, 25_000), seed=st.integers(0, 2**32 - 1))
+def test_trial_log_roundtrip(n, seed):
+    """Random valid columns across the 10^4-row block boundary survive the CSV unchanged."""
+    rng = np.random.default_rng(seed)
+    log = TrialLog(*rng.integers(1, 3, size=(2, n)), *(2 * rng.integers(0, 2, size=(2, n)) - 1))
+    buf = io.StringIO()
+    write_trial_log(log, buf)
+    assert buf.getvalue() == row_writer(log)
+    table = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    assert np.array_equal(table[:, 0], np.arange(n))
+    back = TrialLog(*table[:, 1:].T)
+    assert back == log
+    assert estimate_from_records(back) == estimate_from_records(log)
 
 
 def test_samplers_refuse_more_than_max_trials_before_drawing(monkeypatch):
