@@ -172,152 +172,73 @@ def tsirelson_check(results: Iterable[ChshResult]) -> bool:
 #
 # For any two-qubit state the correlator is bilinear in the directions:
 # E(a, b) = a . (T b) with T_ij the correlator along the coordinate axes, so
-# S = a1 . T(b1 + b2) + a2 . T(b1 - b2) is linear in each direction and the
-# best direction given the other three is a normalized vector (the see-saw
-# method of Liang & Doherty, PRA 75, 042103, 2007). The search and the final
-# S both read T, and S is compared with the closed-form maximum of Horodecki,
-# Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995).
+# S = a1 . T(b1 + b2) + a2 . T(b1 - b2). With T = U diag(s) V^T, the settings
+# a1 = u1, a2 = u2, b1, b2 = c v1 +- s' v2 with (c, s') = (s1, s2)/|(s1, s2)|
+# give b1 + b2 = 2c v1 and b1 - b2 = 2s' v2, hence S = 2*sqrt(s1^2 + s2^2),
+# the closed-form maximum of Horodecki, Horodecki & Horodecki, Phys. Lett. A
+# 200, 340 (1995).
 
-SEE_SAW_TOL = 1e-12
-SEE_SAW_MAX_SWEEPS = 2000
-RANDOM_STARTS = 3
-MAX_RANDOM_STARTS = 10_000  # all starts advance together, so memory grows with their number
-#: Points of a Werner sweep. Each is one search, about 0.45 ms at the default
-#: restarts on a 2-vCPU Xeon, so a sweep at the bound takes about 5 s.
+#: Points of a Werner sweep. Each point (state, search and row) takes about
+#: 0.16 ms on a 2-vCPU Xeon, so a sweep at the bound runs in about 2 s.
 MAX_SWEEP_POINTS = 10_000
-#: Starts of a whole sweep, (points + 21 threshold searches) x (restarts + 1). A search took 0.33 ms
-#: plus 10 to 25 us per start on that Xeon, and the worst accepted sweep (10^4 points, 68 restarts) 13 s.
-MAX_SWEEP_STARTS = 700_000
 THRESHOLD_TOL = 1e-6
-_ZERO_NORM = 1e-13  # relative to max |T_ij|; well above the rounding noise of T
 
 
 @dataclass(frozen=True)
 class OptimizationTrace:
     """Bookkeeping for one settings search.
 
-    ``sweeps`` counts see-saw sweeps (all starts advance together), each of
-    which updates the four directions of every start. ``optimality_gap`` is
-    :func:`horodecki_max_s` minus the returned S. ``grid_evaluations`` (always
-    0) and ``refine_evaluations`` (equal to ``updates``) keep the names the
-    earlier grid plus Nelder-Mead search used.
+    ``singular_values`` are those of T, largest first, from which the
+    settings are built. ``optimality_gap`` is :func:`horodecki_max_s` minus
+    the returned S, evaluated at the returned settings.
     """
 
-    starts: int
-    sweeps: int
-    surrogate_s: float
+    singular_values: tuple[float, float, float]
     optimality_gap: float
 
     @property
-    def updates(self) -> int:
-        return 4 * self.starts * self.sweeps
-
-    @property
     def grid_evaluations(self) -> int:
+        """Always 0; read only by the benchmark harness."""
         return 0
 
     @property
     def refine_evaluations(self) -> int:
-        return self.updates
+        """Always 0; read only by the benchmark harness."""
+        return 0
 
 
 def horodecki_max_s(rho: DensityMatrix) -> float:
     """Closed-form max |S| over all settings: 2*sqrt(s1^2 + s2^2).
 
     ``s1 >= s2`` are the two largest singular values of the correlation
-    tensor T (Horodecki, Horodecki & Horodecki, 1995). Independent of the
-    see-saw search, so it certifies :func:`optimize_settings`.
+    tensor T (Horodecki, Horodecki & Horodecki, 1995).
     """
-    t_mat, exponent = _scaled(correlation_tensor(rho))
-    s = np.linalg.svd(t_mat, compute_uv=False)
-    return math.ldexp(2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2), exponent)
+    s = np.linalg.svd(correlation_tensor(rho), compute_uv=False)
+    return 2.0 * math.hypot(s[0], s[1])
 
 
-def _scaled(t_mat: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(T * 2**-e, e)`` for the e that brings max |T_ij| into [0.5, 1).
-
-    The scaling is exact, so a computation on the scaled T takes the same
-    steps as on T itself, but squares and norms no longer underflow when T is
-    tiny (a Werner state with p = 1e-300). T = 0 is returned unscaled.
-    """
-    exponent = int(np.frexp(np.abs(t_mat).max())[1])
-    return np.ldexp(t_mat, -exponent), exponent
-
-
-def _sum_diff(pair: np.ndarray) -> np.ndarray:
-    """(v1 + v2, v1 - v2) for a pair of directions stacked on the first axis."""
-    return np.stack((pair[0] + pair[1], pair[0] - pair[1]))
-
-
-def _see_saw_step(t_mat: np.ndarray, old: np.ndarray, other: np.ndarray, floor: float) -> np.ndarray:
-    """Best pair of one party's directions given the other party's pair.
-
-    ``old`` and ``other`` have shape (2, starts, 3). For A this is
-    a1 = T(b1 + b2)/|.| and a2 = T(b1 - b2)/|.|; pass ``t_mat.T`` for B. A
-    target with norm at most ``floor`` (T = 0 for white noise) keeps the old
-    direction, since every direction is then equally good.
-    """
-    target = _sum_diff(other) @ t_mat.T
-    norms = np.linalg.norm(target, axis=-1, keepdims=True)
-    keep = norms <= floor
-    return np.where(keep, old, target / np.where(keep, 1.0, norms))
-
-
-def _see_saw(t_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Alternate the exact A and B updates until no direction moves by more than 1e-12.
-
-    The steps run on :func:`_scaled` T, so that the norm of a target does not
-    underflow when T is tiny.
-    """
-    t_mat = _scaled(t_mat)[0]
-    floor = _ZERO_NORM * float(np.abs(t_mat).max())
-    for sweep in range(1, SEE_SAW_MAX_SWEEPS + 1):
-        new_a = _see_saw_step(t_mat, a, b, floor)
-        new_b = _see_saw_step(t_mat.T, b, new_a, floor)
-        moved = max(float(np.abs(new_a - a).max()), float(np.abs(new_b - b).max()))
-        a, b = new_a, new_b
-        if moved <= SEE_SAW_TOL:
-            break
-    return a, b, sweep
-
-
-def optimize_settings_traced(
-    rho: DensityMatrix,
-    *,
-    random_starts: int = RANDOM_STARTS,
-    seed: int = 0,
-) -> tuple[ChshResult, OptimizationTrace]:
+def optimize_settings_traced(rho: DensityMatrix, *, seed: int = 0) -> tuple[ChshResult, OptimizationTrace]:
     """Maximize |S| over the four directions and report search diagnostics.
 
-    See-saw from one fixed and ``random_starts`` random starting
-    configurations (``default_rng(seed)``), at most 2000 sweeps. S is then
-    evaluated at the best settings, and the result is canonicalized to
-    S >= 0 (negating both of B's directions flips the sign of S, so this
-    loses nothing).
+    The settings are built in closed form from the singular value
+    decomposition of T (see the comment above), S is evaluated at them
+    through T, and the result is canonicalized to S >= 0 (negating both of
+    B's directions flips the sign of S, so this loses nothing). ``seed`` is
+    accepted and unused; only the benchmark harness passes it.
     """
-    if not 0 <= random_starts <= MAX_RANDOM_STARTS:
-        raise ValueError(f"random_starts must be in [0, {MAX_RANDOM_STARTS}], got {random_starts}")
     t_mat = correlation_tensor(rho)
-    rng = np.random.default_rng(seed)
-
-    starts = [np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])]
-    for _ in range(random_starts):
-        raw = rng.normal(size=(4, 3))
-        starts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    vecs = np.stack(starts, axis=1)  # (a1, a2, b1, b2) x start x xyz
-
-    a, b, sweeps = _see_saw(t_mat, vecs[:2], vecs[2:])
-    surrogate = np.sum(a * (_sum_diff(b) @ t_mat.T), axis=(0, 2))
-    best = int(np.argmax(surrogate))
-
-    settings = MeasurementSettings(*(UnitVector3(*v) for v in (a[0, best], a[1, best], b[0, best], b[1, best])))
+    u, s, vt = np.linalg.svd(t_mat)
+    # (c, s') = (1, r)/|(1, r)| with r = s2/s1 in [0, 1]: the direction of
+    # (s1, s2), but still of unit norm when a subnormal T rounds |(s1, s2)|.
+    r = s[1] / s[0] if s[0] > 0.0 else 0.0
+    norm = math.hypot(1.0, r)
+    b1, b2 = (vt[0] + r * vt[1]) / norm, (vt[0] - r * vt[1]) / norm
+    settings = MeasurementSettings(*(UnitVector3(*v) for v in (u[:, 0], u[:, 1], b1, b2)))
     result = _chsh_result(t_mat, settings)
     if result.s_value < 0.0:
         result = _chsh_result(t_mat, settings.flip_b())
     trace_info = OptimizationTrace(
-        starts=len(starts),
-        sweeps=sweeps,
-        surrogate_s=float(surrogate[best]),
+        singular_values=tuple(s.tolist()),
         optimality_gap=horodecki_max_s(rho) - result.s_value,
     )
     return result, trace_info
@@ -328,17 +249,18 @@ def optimize_settings(rho: DensityMatrix, **kwargs) -> ChshResult:
     return optimize_settings_traced(rho, **kwargs)[0]
 
 
-def werner_threshold(*, tol: float = THRESHOLD_TOL, **optimizer_kwargs) -> float:
+def werner_threshold() -> float:
     """Critical visibility above which the optimized Werner state violates |S| <= 2.
 
     Bisection on p in [0, 1] of the predicate ``optimize_settings(werner(p)).s_value > 2``
-    down to absolute width ``tol``. The optimizer is exercised end to end at
-    every probe rather than inverting the known linear dependence on p.
+    down to absolute width :data:`THRESHOLD_TOL`. The optimizer is exercised
+    end to end at every probe rather than inverting the known linear
+    dependence on p.
     """
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
-        if optimize_settings(make_werner(mid), **optimizer_kwargs).s_value > CLASSICAL_BOUND:
+        if optimize_settings(make_werner(mid)).s_value > CLASSICAL_BOUND:
             hi = mid
         else:
             lo = mid

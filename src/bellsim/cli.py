@@ -9,10 +9,7 @@ import sys
 from pathlib import Path
 
 from .chsh import (
-    MAX_RANDOM_STARTS,
     MAX_SWEEP_POINTS,
-    MAX_SWEEP_STARTS,
-    RANDOM_STARTS,
     THRESHOLD_TOL,
     ChshResult,
     InternalConsistencyError,
@@ -107,7 +104,6 @@ _OPTIONS = {
     "preset": {"choices": sorted(SETTINGS_PRESETS), "help": "named measurement quadruple"},
     "trials": {"type": _bounded(1, MAX_TRIALS), "help": f"number of trials (required, at most {MAX_TRIALS})"},
     "trial_log": {"type": Path, "help": "write sampled trials as CSV"},
-    "restarts": {"type": _bounded(0, MAX_RANDOM_STARTS), "default": RANDOM_STARTS, "help": "random see-saw starts"},
     "p_min": {"type": float, "default": 0.0, "help": "sweep start"},
     "p_max": {"type": float, "default": 1.0, "help": "sweep end"},
     "points": {"type": _bounded(2, MAX_SWEEP_POINTS), "default": 41, "help": f"sweep points, 2 to {MAX_SWEEP_POINTS}"},
@@ -306,20 +302,16 @@ def _run_chsh(cfg: argparse.Namespace):
 
 def _run_optimize(cfg: argparse.Namespace):
     rho = parse_state_spec(cfg.state)
-    result, trace_info = optimize_settings_traced(rho, random_starts=cfg.restarts, seed=cfg.seed)
+    result, trace_info = optimize_settings_traced(rho)
     report = {
         "command": "optimize",
         "inputs": {
             "state": cfg.state,
             "seed": cfg.seed,
-            "restarts": cfg.restarts,
         },
         "results": {**_result_dict(result), "settings": _settings_dict(result.settings)},
         "diagnostics": {
-            "starts": trace_info.starts,
-            "sweeps": trace_info.sweeps,
-            "updates": trace_info.updates,
-            "surrogate_s": trace_info.surrogate_s,
+            "singular_values": list(trace_info.singular_values),
             "optimality_gap": trace_info.optimality_gap,
         },
     }
@@ -330,8 +322,8 @@ def _run_optimize(cfg: argparse.Namespace):
         ang = to_polar(v)
         human.append(f"{name}: theta = {_fmt9(ang.theta)}, phi = {_fmt9(ang.phi)}")
     human.append(
-        f"search: {trace_info.starts} starts, {trace_info.sweeps} see-saw sweeps, "
-        f"gap to the Horodecki maximum {trace_info.optimality_gap:.3g}"
+        "singular values of T: " + " ".join(_fmt9(v) for v in trace_info.singular_values)
+        + f"; gap to the Horodecki maximum {trace_info.optimality_gap:.3g}"
     )
     return report, human, None
 
@@ -339,19 +331,18 @@ def _run_optimize(cfg: argparse.Namespace):
 def _run_werner_sweep(cfg: argparse.Namespace):
     if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
         raise ValueError(f"sweep range [{cfg.p_min}, {cfg.p_max}] must sit inside [-1/3, 1]")
-    if (cfg.points + 21) * (cfg.restarts + 1) > MAX_SWEEP_STARTS:  # 21: the threshold searches
-        raise ValueError(f"sweep needs (points + 21) * (restarts + 1) <= {MAX_SWEEP_STARTS} starts")
-    optimizer_kwargs = dict(random_starts=cfg.restarts, seed=cfg.seed)
     gaps = []
 
     def optimized_row(p: float) -> dict:
-        result, trace_info = optimize_settings_traced(make_werner(p), **optimizer_kwargs)
+        result, trace_info = optimize_settings_traced(make_werner(p))
         gaps.append(trace_info.optimality_gap)
         return {"p": p, "max_s": result.s_value, "violates": result.violates_classical}
 
     step = (cfg.p_max - cfg.p_min) / (cfg.points - 1)
-    rows = [optimized_row(cfg.p_min + i * step) for i in range(cfg.points)]
-    threshold = werner_threshold(tol=THRESHOLD_TOL, **optimizer_kwargs)
+    # The last row is p_max itself: p_min + (points - 1) * step can round past it.
+    grid = [cfg.p_min + i * step for i in range(cfg.points - 1)] + [cfg.p_max]
+    rows = [optimized_row(p) for p in grid]
+    threshold = werner_threshold()
     threshold_row = optimized_row(threshold)
     s_at_threshold = threshold_row["max_s"]
     report = {
@@ -361,7 +352,6 @@ def _run_werner_sweep(cfg: argparse.Namespace):
             "p_max": cfg.p_max,
             "points": cfg.points,
             "seed": cfg.seed,
-            "restarts": cfg.restarts,
         },
         "results": {"rows": rows, "threshold": threshold, "threshold_row": threshold_row},
         "diagnostics": {
@@ -541,11 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize |S| over measurement directions")
     _add_option(p, "state")
-    _add_option(p, "restarts")
     _add_common(p)
 
     p = sub.add_parser("werner-sweep", help="max |S| across Werner visibilities plus the violation threshold")
-    for key in ("p_min", "p_max", "points", "restarts"):
+    for key in ("p_min", "p_max", "points"):
         _add_option(p, key)
     _add_common(p)
 

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellsim import cli
-from bellsim.chsh import (
-    MAX_RANDOM_STARTS, MAX_SWEEP_POINTS, MAX_SWEEP_STARTS, InternalConsistencyError, TSIRELSON_BOUND,
-)
+from bellsim.chsh import MAX_SWEEP_POINTS, InternalConsistencyError, TSIRELSON_BOUND
 from bellsim.cli import REPORT_SCHEMA, main
 from bellsim.lhv import MAX_TRIALS
 
@@ -90,7 +88,7 @@ def test_chsh_rejects_out_of_range_angles(capsys):
 def test_optimize_singlet(capsys):
     report = run_json(capsys, "optimize", "--state", "singlet")
     assert report["results"]["s_value"] == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
-    assert report["diagnostics"]["starts"] >= 1
+    assert report["diagnostics"]["singular_values"] == pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
 
 
 def test_optimize_threshold_werner(capsys):
@@ -103,17 +101,16 @@ def test_optimize_white_noise(capsys):
     assert abs(report["results"]["s_value"]) <= 1e-6
 
 
-def test_optimize_reports_see_saw_diagnostics(capsys):
-    report = run_json(capsys, "optimize", "--state", "werner:0.9", "--restarts", "1")
+def test_optimize_reports_closed_form_diagnostics(capsys):
+    report = run_json(capsys, "optimize", "--state", "werner:0.9")
     diagnostics = report["diagnostics"]
-    assert diagnostics["starts"] == 2
-    assert diagnostics["updates"] == 4 * 2 * diagnostics["sweeps"]
-    assert abs(diagnostics["optimality_gap"]) <= 1e-9
-    assert not any(key.startswith("grid_") for key in diagnostics)
-    assert set(report["inputs"]) == {"state", "seed", "restarts"}
+    assert set(diagnostics) == {"singular_values", "optimality_gap"}
+    assert diagnostics["singular_values"] == pytest.approx([0.9, 0.9, 0.9], abs=1e-15)
+    assert abs(diagnostics["optimality_gap"]) <= 1e-14
+    assert set(report["inputs"]) == {"state", "seed"}
 
 
-@pytest.mark.parametrize("flag", ["--theta-divisions", "--phi-divisions"])
+@pytest.mark.parametrize("flag", ["--theta-divisions", "--phi-divisions", "--restarts"])
 @pytest.mark.parametrize("command", ["optimize", "werner-sweep"])
 def test_removed_grid_flags_exit_two(capsys, command, flag):
     assert run_cli(capsys, command, flag, "24")[0] == 2
@@ -144,8 +141,8 @@ def test_werner_sweep_reports_gap_per_row(capsys):
     report = run_json(capsys, "werner-sweep", "--points", "4")
     gaps = report["diagnostics"]["optimality_gap"]
     assert len(gaps) == len(report["results"]["rows"]) == 4
-    assert max(abs(g) for g in gaps) <= 1e-9
-    assert abs(report["diagnostics"]["threshold_row_optimality_gap"]) <= 1e-9
+    assert max(abs(g) for g in gaps) <= 1e-14
+    assert abs(report["diagnostics"]["threshold_row_optimality_gap"]) <= 1e-14
 
 
 def test_werner_sweep_csv(capsys):
@@ -156,6 +153,18 @@ def test_werner_sweep_csv(capsys):
     assert len(lines) == 7  # 5 sweep rows + threshold row + header
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(INV_SQRT2, abs=1e-4)
+
+
+@pytest.mark.parametrize("p_min, points", [(-1.0 / 3.0, 170), (0.1, 8), (-0.2, 41), (0.0, 2)])
+def test_werner_sweep_rows_stay_in_range_and_end_at_p_max(capsys, p_min, points):
+    report = run_json(capsys, "werner-sweep", "--p-min", repr(p_min), "--points", str(points))
+    grid = [row["p"] for row in report["results"]["rows"]]
+    assert len(grid) == points
+    assert all(p_min <= p <= 1.0 for p in grid)
+    assert grid[0] == p_min
+    assert grid[-1] == 1.0
+    step = (1.0 - p_min) / (points - 1)
+    assert grid[:-1] == [p_min + i * step for i in range(points - 1)]
 
 
 def test_werner_sweep_rejects_bad_range(capsys):
@@ -324,14 +333,15 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
-@pytest.mark.parametrize("line", ["seed = 1.9", "trials = 2.5", "restarts = 0.5", "points = 2.7",
+@pytest.mark.parametrize("line", ["seed = 1.9", "trials = 2.5", "points = 2.7",
                                   "seed = true", "seed = nan", "trials = inf"])
 def test_config_rejects_non_integral_integers(capsys, tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    code, _, err = run_cli(capsys, "chsh", "--preset", "optimal", "--config", str(cfg))
+    key = line.split()[0]
+    code, _, err = run_cli(capsys, *CHEAP_COMMANDS[key], "--config", str(cfg))
     assert code == 2
-    assert line.split()[0] in err
+    assert f"argument --{key}: expected an integer" in err
 
 
 def test_config_accepts_integral_float(capsys, tmp_path):
@@ -342,7 +352,7 @@ def test_config_accepts_integral_float(capsys, tmp_path):
     assert report["inputs"]["seed"] == 4
 
 
-@pytest.mark.parametrize("key", ["theta_divisions", "phi-divisions"])
+@pytest.mark.parametrize("key", ["theta_divisions", "phi-divisions", "restarts"])
 def test_config_rejects_removed_grid_keys(capsys, tmp_path, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = 24\n")
@@ -447,7 +457,7 @@ def test_one_integer_rule_for_flags_and_file(capsys, tmp_path, via_config):
 SEED_COMMANDS = [
     ["chsh", "--preset", "optimal"],
     ["optimize"],
-    ["werner-sweep", "--points", "2", "--restarts", "0"],
+    ["werner-sweep", "--points", "2"],
     ["lhv", "--exhaustive"],
     ["sample", "--preset", "optimal", "--trials", "10"],
 ]
@@ -476,10 +486,9 @@ CHEAP_COMMANDS = {
     "preset": ["chsh"],
     "trials": ["sample", "--preset", "optimal"],
     "trial_log": ["sample", "--preset", "optimal", "--trials", "10"],
-    "restarts": ["optimize", "--state", "werner:0.9"],
-    "p_min": ["werner-sweep", "--points", "2", "--restarts", "0"],
-    "p_max": ["werner-sweep", "--points", "2", "--restarts", "0"],
-    "points": ["werner-sweep", "--restarts", "0"],
+    "p_min": ["werner-sweep", "--points", "2"],
+    "p_max": ["werner-sweep", "--points", "2"],
+    "points": ["werner-sweep"],
 }
 #: Integers stay small (cheap to run) or far above every bound (refused before work).
 CONFIG_TEXTS = st.one_of(
@@ -537,31 +546,6 @@ def test_sweep_points_above_max_exit_two_before_searching(capsys, tmp_path, monk
         main(["werner-sweep", "--points", str(MAX_SWEEP_POINTS)])
 
 
-@pytest.mark.parametrize("via_config", [False, True])
-def test_sweep_cost_above_max_exit_two_before_searching(capsys, tmp_path, monkeypatch, via_config):
-    def no_search(*args, **kwargs):
-        raise _Searched
-
-    monkeypatch.setattr("bellsim.cli.optimize_settings_traced", no_search)
-    monkeypatch.setattr("bellsim.chsh.optimize_settings_traced", no_search)
-    values = {"points": str(MAX_SWEEP_POINTS), "restarts": str(MAX_SWEEP_STARTS // (MAX_SWEEP_POINTS + 21))}
-    if via_config:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
-        extra = ["--config", str(cfg)]
-    else:
-        extra = [f"--{key}={text}" for key, text in values.items()]
-    code, out, err = run_cli(capsys, "werner-sweep", *extra)
-    assert code == 2
-    assert out == ""
-    assert str(MAX_SWEEP_STARTS) in err
-    restarts_below = str(int(values["restarts"]) - 1)
-    for accepted in (["--points", str(MAX_SWEEP_POINTS), "--restarts", restarts_below],
-                     ["--points", str(MAX_SWEEP_POINTS)], ["--restarts", "10000"]):
-        with pytest.raises(_Searched):
-            main(["werner-sweep", *accepted])
-
-
 def test_sweep_points_help_states_the_bound(capsys):
     _, out, _ = run_cli(capsys, "werner-sweep", "--help")
     assert f"2 to {MAX_SWEEP_POINTS}" in " ".join(out.split())
@@ -570,9 +554,7 @@ def test_sweep_points_help_states_the_bound(capsys):
 @pytest.mark.parametrize("command, key, low, high", [
     (["sample", "--preset", "optimal"], "trials", 1, MAX_TRIALS),
     (["lhv", "--preset", "uniform16"], "trials", 1, MAX_TRIALS),
-    (["optimize"], "restarts", 0, MAX_RANDOM_STARTS),
-    (["werner-sweep", "--points", "2"], "restarts", 0, MAX_RANDOM_STARTS),
-    (["werner-sweep", "--restarts", "0"], "points", 2, MAX_SWEEP_POINTS),
+    (["werner-sweep"], "points", 2, MAX_SWEEP_POINTS),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 @pytest.mark.parametrize("via_config", [False, True])
 def test_integer_out_of_range_exits_two_naming_the_option(

@@ -11,8 +11,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 #: Options with a default on each subcommand, besides --format and --seed.
 DEFAULTED = {
     "chsh": {"state"},
-    "optimize": {"state", "restarts"},
-    "werner-sweep": {"p_min", "p_max", "points", "restarts"},
+    "optimize": {"state"},
+    "werner-sweep": {"p_min", "p_max", "points"},
     "lhv": set(),
     "sample": {"state"},
 }

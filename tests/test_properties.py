@@ -1,6 +1,6 @@
 """Property tests: the correlation tensor equals the Born-rule traces, the
-see-saw search reaches the Horodecki closed form, and no state or local model
-exceeds its CHSH bound."""
+settings built from the singular value decomposition of T reach the Horodecki
+closed form, and no state or local model exceeds its CHSH bound."""
 
 import math
 
@@ -25,7 +25,7 @@ from bellsim.lhv import LhvModel, lhv_correlators_exact
 from bellsim.observables import UnitVector3, X_AXIS, Y_AXIS, Z_AXIS, spin_observable
 from bellsim.states import DensityMatrix, make_werner
 
-GAP_TOL = 1e-9
+GAP_TOL = 1e-14
 BORN_TOL = 1e-15
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SEARCH_SEEDS = st.integers(min_value=0, max_value=1000)
