@@ -46,8 +46,6 @@ from .lhv import (
 )
 from .linalg import ComplexMatrix, min_eigenvalue_hermitian
 from .observables import (
-    PolarAngles,
-    SpinObservable,
     UnitVector3,
     X_AXIS,
     Y_AXIS,
@@ -59,7 +57,6 @@ from .observables import (
 from .states import (
     DensityMatrix,
     StateDiagnostics,
-    Visibility,
     make_singlet,
     make_werner,
     validate,

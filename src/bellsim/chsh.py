@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .observables import PolarAngles, SpinObservable, UnitVector3, X_AXIS, Z_AXIS, from_polar
+from .observables import UnitVector3, X_AXIS, Z_AXIS, from_polar
 from .states import DensityMatrix, make_werner
 
 CLASSICAL_BOUND = 2.0
@@ -40,9 +40,9 @@ def born_expectation(state: np.ndarray, observable: np.ndarray) -> float:
     return float(value.real)
 
 
-def quantum_correlator(rho: DensityMatrix, a: SpinObservable, b: SpinObservable) -> float:
-    """Expectation of the product of outcomes when A measures ``a`` and B measures ``b``."""
-    return born_expectation(rho.matrix, np.kron(a.matrix, b.matrix))
+def quantum_correlator(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
+    """Expectation of the product of outcomes when A measures observable ``a`` and B measures ``b``."""
+    return born_expectation(rho.matrix, np.kron(a, b))
 
 
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_x, sigma_y, sigma_z
@@ -108,17 +108,14 @@ def chsh_value(t: CorrelatorTable) -> float:
 class ChshResult:
     s_value: float
     settings: MeasurementSettings
-    violates_classical: bool
-    within_tsirelson: bool
 
-    @classmethod
-    def from_value(cls, s: float, settings: MeasurementSettings) -> "ChshResult":
-        return cls(
-            s_value=s,
-            settings=settings,
-            violates_classical=abs(s) > CLASSICAL_BOUND + CLASSICAL_SLACK,
-            within_tsirelson=abs(s) <= TSIRELSON_BOUND + TSIRELSON_SLACK,
-        )
+    @property
+    def violates_classical(self) -> bool:
+        return abs(self.s_value) > CLASSICAL_BOUND + CLASSICAL_SLACK
+
+    @property
+    def within_tsirelson(self) -> bool:
+        return abs(self.s_value) <= TSIRELSON_BOUND + TSIRELSON_SLACK
 
 
 def _table(t_mat: np.ndarray, s: MeasurementSettings) -> CorrelatorTable:
@@ -129,7 +126,7 @@ def _table(t_mat: np.ndarray, s: MeasurementSettings) -> CorrelatorTable:
 
 
 def _chsh_result(t_mat: np.ndarray, s: MeasurementSettings) -> ChshResult:
-    return ChshResult.from_value(chsh_value(_table(t_mat, s)), s)
+    return ChshResult(chsh_value(_table(t_mat, s)), s)
 
 
 def correlator_table(rho: DensityMatrix, s: MeasurementSettings) -> CorrelatorTable:
@@ -165,7 +162,7 @@ def tsirelson_check(results: Iterable[ChshResult]) -> bool:
     matrices; tables fabricated by hand (e.g. all-ones) are outside the
     contract and can of course exceed the bound.
     """
-    return all(abs(r.s_value) <= TSIRELSON_BOUND + TSIRELSON_SLACK for r in results)
+    return all(r.within_tsirelson for r in results)
 
 
 # --- settings search -------------------------------------------------------
@@ -267,9 +264,9 @@ def werner_threshold() -> float:
     return 0.5 * (lo + hi)
 
 
-def settings_from_polar(angles: Iterable[PolarAngles]) -> MeasurementSettings:
-    """Build a configuration from four polar pairs in the order a1, a2, b1, b2."""
-    vectors = [from_polar(a) for a in angles]
+def settings_from_polar(angles: Iterable[tuple[float, float]]) -> MeasurementSettings:
+    """Build a configuration from four ``(theta, phi)`` pairs in the order a1, a2, b1, b2."""
+    vectors = [from_polar(theta, phi) for theta, phi in angles]
     if len(vectors) != 4:
         raise ValueError(f"need exactly 4 directions, got {len(vectors)}")
     return MeasurementSettings(*vectors)

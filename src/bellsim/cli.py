@@ -34,7 +34,7 @@ from .lhv import (
     sample_quantum_experiment,
     write_trial_log,
 )
-from .observables import PolarAngles, UnitVector3, to_polar
+from .observables import UnitVector3, to_polar
 from .states import VISIBILITY_MAX, VISIBILITY_MIN, DensityMatrix, make_singlet, make_werner
 
 #: Shape of every machine-readable JSON report.
@@ -175,7 +175,7 @@ def _resolve_settings(cfg: argparse.Namespace) -> MeasurementSettings:
     if cfg.preset is not None:
         return SETTINGS_PRESETS[cfg.preset]()
     if given:
-        return settings_from_polar([PolarAngles(t, p) for t, p in pairs])
+        return settings_from_polar(pairs)
     raise ValueError("specify --preset or all of --a1 --a2 --b1 --b2 (theta phi in radians)")
 
 
@@ -234,8 +234,8 @@ def _machine_text(cfg: argparse.Namespace, report: dict, csv_text: str | None) -
 
 
 def _direction_dict(v: UnitVector3) -> dict:
-    ang = to_polar(v)
-    return {"theta": ang.theta, "phi": ang.phi, "x": v.x, "y": v.y, "z": v.z}
+    theta, phi = to_polar(v)
+    return {"theta": theta, "phi": phi, "x": v.x, "y": v.y, "z": v.z}
 
 
 def _settings_dict(s: MeasurementSettings) -> dict:
@@ -282,7 +282,7 @@ def _run_chsh(cfg: argparse.Namespace):
     rho = parse_state_spec(cfg.state)
     settings = _resolve_settings(cfg)
     table = correlator_table(rho, settings)
-    result = ChshResult.from_value(chsh_value(table), settings)
+    result = ChshResult(chsh_value(table), settings)
     report = {
         "command": "chsh",
         "inputs": {
@@ -319,8 +319,8 @@ def _run_optimize(cfg: argparse.Namespace):
     human.extend(_bound_lines(result))
     for name, v in (("a1", result.settings.a1), ("a2", result.settings.a2),
                     ("b1", result.settings.b1), ("b2", result.settings.b2)):
-        ang = to_polar(v)
-        human.append(f"{name}: theta = {_fmt9(ang.theta)}, phi = {_fmt9(ang.phi)}")
+        theta, phi = to_polar(v)
+        human.append(f"{name}: theta = {_fmt9(theta)}, phi = {_fmt9(phi)}")
     human.append(
         "singular values of T: " + " ".join(_fmt9(v) for v in trace_info.singular_values)
         + f"; gap to the Horodecki maximum {trace_info.optimality_gap:.3g}"

@@ -48,53 +48,37 @@ Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PolarAngles:
-    """Spherical direction: theta in [0, pi], phi in [0, 2*pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta={self.theta!r} outside [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi={self.phi!r} outside [0, 2*pi)")
+def from_polar(theta: float, phi: float) -> UnitVector3:
+    """(sin t cos p, sin t sin p, cos t) for polar angle t in [0, pi] and azimuth p in [0, 2*pi)."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta={theta!r} outside [0, pi]")
+    if not 0.0 <= phi < 2.0 * math.pi:
+        raise ValueError(f"phi={phi!r} outside [0, 2*pi)")
+    st = math.sin(theta)
+    return UnitVector3(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
-def from_polar(angles: PolarAngles) -> UnitVector3:
-    """(sin t cos p, sin t sin p, cos t) for polar angle t and azimuth p."""
-    st = math.sin(angles.theta)
-    return UnitVector3(st * math.cos(angles.phi), st * math.sin(angles.phi), math.cos(angles.theta))
-
-
-def to_polar(v: UnitVector3) -> PolarAngles:
-    """Canonical polar representation; azimuth is 0 at the poles."""
+def to_polar(v: UnitVector3) -> tuple[float, float]:
+    """Canonical ``(theta, phi)`` of a direction; azimuth is 0 at the poles."""
     theta = math.acos(min(1.0, max(-1.0, v.z)))
     if math.sin(theta) < 1e-12:
-        return PolarAngles(theta, 0.0)
+        return theta, 0.0
     phi = math.atan2(v.y, v.x)
     if phi < 0.0:
         phi += 2.0 * math.pi
     if phi >= 2.0 * math.pi:
         phi = 0.0
-    return PolarAngles(theta, phi)
+    return theta, phi
 
 
-@dataclass(frozen=True, eq=False)
-class SpinObservable:
-    """A spin component along ``direction``: a read-only 2x2 array, Hermitian, traceless, squaring to 1."""
+def spin_observable(n: UnitVector3) -> np.ndarray:
+    """Spin observable x*sigma_x + y*sigma_y + z*sigma_z along ``n``.
 
-    direction: UnitVector3
-    matrix: np.ndarray
-
-
-def spin_observable(n: UnitVector3) -> SpinObservable:
-    """Spin observable along ``n``: x*sigma_x + y*sigma_y + z*sigma_z."""
-    m = ComplexMatrix(
+    A read-only 2x2 complex128 array: Hermitian, traceless, squaring to 1.
+    """
+    return ComplexMatrix(
         [
             [n.z, n.x - 1j * n.y],
             [n.x + 1j * n.y, -n.z],
         ]
     )
-    return SpinObservable(direction=n, matrix=m)

@@ -18,20 +18,6 @@ _VISIBILITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class Visibility:
-    """Singlet weight of the Werner mixture; admissible exactly on [-1/3, 1]."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (VISIBILITY_MIN - _VISIBILITY_SLACK <= self.p <= VISIBILITY_MAX + _VISIBILITY_SLACK):
-            raise ValueError(
-                f"visibility p={self.p!r} outside [{VISIBILITY_MIN!r}, {VISIBILITY_MAX!r}]: "
-                "the state would not be positive semidefinite"
-            )
-
-
-@dataclass(frozen=True)
 class StateDiagnostics:
     """How far a candidate 4x4 matrix is from being a valid density matrix.
 
@@ -126,6 +112,11 @@ def make_werner(p: float) -> DensityMatrix:
 
     For p in [0, 1] this is the probabilistic mixture of the singlet with
     white noise (identity/4); the full positivity range extends down to -1/3.
-    Out-of-range ``p`` raises instead of being clamped.
+    Out-of-range ``p``, NaN included, raises instead of being clamped.
     """
-    return DensityMatrix(werner_matrix(Visibility(p).p))
+    if not (VISIBILITY_MIN - _VISIBILITY_SLACK <= p <= VISIBILITY_MAX + _VISIBILITY_SLACK):
+        raise ValueError(
+            f"visibility p={p!r} outside [{VISIBILITY_MIN!r}, {VISIBILITY_MAX!r}]: "
+            "the state would not be positive semidefinite"
+        )
+    return DensityMatrix(werner_matrix(p))

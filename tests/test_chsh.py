@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from bellsim.chsh import (
+    CLASSICAL_BOUND,
+    CLASSICAL_SLACK,
     ChshResult,
     CorrelatorTable,
     InternalConsistencyError,
     MeasurementSettings,
     TSIRELSON_BOUND,
+    TSIRELSON_SLACK,
     aligned_settings,
     born_expectation,
     chsh_quantum,
@@ -89,7 +92,7 @@ def test_werner_correlator_linearity():
 
 def test_born_expectation_rejects_imaginary_residue():
     non_hermitian = ComplexMatrix([[0.5, 0.5j], [0.0, 0.5]])
-    sigma_x = spin_observable(X_AXIS).matrix
+    sigma_x = spin_observable(X_AXIS)
     with pytest.raises(InternalConsistencyError):
         born_expectation(non_hermitian, sigma_x)
 
@@ -119,11 +122,18 @@ def test_correlator_table_rejects_non_finite(bad):
 
 def test_chsh_result_flags():
     s = singlet_optimal_settings()
-    assert ChshResult.from_value(2.5, s).violates_classical
-    assert ChshResult.from_value(2.5, s).within_tsirelson
-    assert not ChshResult.from_value(2.0, s).violates_classical
-    assert ChshResult.from_value(-2.2, s).violates_classical
-    assert not ChshResult.from_value(4.0, s).within_tsirelson
+    assert ChshResult(2.5, s).violates_classical
+    assert ChshResult(2.5, s).within_tsirelson
+    assert not ChshResult(2.0, s).violates_classical
+    assert ChshResult(-2.2, s).violates_classical
+    assert not ChshResult(4.0, s).within_tsirelson
+    classical_edge = CLASSICAL_BOUND + CLASSICAL_SLACK
+    tsirelson_edge = TSIRELSON_BOUND + TSIRELSON_SLACK
+    for sign in (1.0, -1.0):
+        assert not ChshResult(sign * classical_edge, s).violates_classical
+        assert ChshResult(sign * math.nextafter(classical_edge, math.inf), s).violates_classical
+        assert ChshResult(sign * tsirelson_edge, s).within_tsirelson
+        assert not ChshResult(sign * math.nextafter(tsirelson_edge, math.inf), s).within_tsirelson
 
 
 def test_singlet_optimal_settings_reach_tsirelson():
@@ -186,7 +196,7 @@ def test_tsirelson_ceiling_monte_carlo():
 
 
 def test_tsirelson_check_flags_fabricated_value():
-    bad = ChshResult.from_value(3.2, singlet_optimal_settings())
+    bad = ChshResult(3.2, singlet_optimal_settings())
     assert not tsirelson_check([bad])
 
 

@@ -76,10 +76,13 @@ def test_chsh_rejects_partial_angles(capsys):
 
 
 def test_chsh_rejects_out_of_range_angles(capsys):
-    code, _, _ = run_cli(
-        capsys, "chsh", "--a1", "-1", "0", "--a2", "0", "0", "--b1", "0", "0", "--b2", "0", "0"
-    )
-    assert code == 2
+    for theta in ("-1", "nan"):
+        code, out, err = run_cli(
+            capsys, "chsh", "--a1", theta, "0", "--a2", "0", "0", "--b1", "0", "0", "--b2", "0", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"theta={float(theta)!r} outside [0, pi]" in err
 
 
 # --- optimize ----------------------------------------------------------------
@@ -278,6 +281,23 @@ def test_sample_trial_log_reproducible(capsys, tmp_path):
     assert logs[0] == logs[1]
     header = logs[0].split(b"\n", 1)[0]
     assert header == b"trial,a_setting,b_setting,a_outcome,b_outcome"
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--state", "werner:0.8", "--preset", "optimal"],
+    ["optimize", "--state", "werner:0.9"],
+    ["werner-sweep", "--points", "5"],
+    ["lhv", "--exhaustive"],
+], ids=" ".join)
+def test_exact_commands_only_record_the_seed(capsys, argv):
+    runs = []
+    for seed in (0, 5):
+        code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["inputs"].pop("seed") == seed
+        runs.append((report, err))
+    assert runs[0] == runs[1]
 
 
 # --- shared plumbing ----------------------------------------------------------------

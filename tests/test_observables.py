@@ -5,7 +5,6 @@ import pytest
 
 from bellsim.chsh import _PAULIS
 from bellsim.observables import (
-    PolarAngles,
     UnitVector3,
     X_AXIS,
     Z_AXIS,
@@ -49,22 +48,27 @@ def test_unit_vector_renormalizes_small_drift():
 
 
 def test_polar_angles_ranges():
-    PolarAngles(0.0, 0.0)
-    PolarAngles(math.pi, 2 * math.pi - 1e-12)
-    for theta, phi in [(-0.1, 0.0), (math.pi + 0.1, 0.0), (0.5, -0.1), (0.5, 2 * math.pi)]:
-        with pytest.raises(ValueError):
-            PolarAngles(theta, phi)
+    from_polar(0.0, 0.0)
+    from_polar(math.pi, 2 * math.pi - 1e-12)
+    bad_theta = [-0.1, math.pi + 0.1, math.nan, math.inf, -math.inf]
+    bad_phi = [-0.1, 2 * math.pi, math.nan, math.inf, -math.inf]
+    for theta in bad_theta:
+        with pytest.raises(ValueError, match="theta="):
+            from_polar(theta, 0.0)
+    for phi in bad_phi:
+        with pytest.raises(ValueError, match="phi="):
+            from_polar(0.5, phi)
 
 
 def test_from_polar_examples():
-    north = from_polar(PolarAngles(0.0, 0.0))
+    north = from_polar(0.0, 0.0)
     assert (north.x, north.y, north.z) == (0.0, 0.0, 1.0)
 
-    equator = from_polar(PolarAngles(math.pi / 2, 0.0))
+    equator = from_polar(math.pi / 2, 0.0)
     assert abs(equator.x - 1.0) <= 1e-15
     assert abs(equator.z) <= 1e-15
 
-    diag = from_polar(PolarAngles(math.pi / 4, 0.0))
+    diag = from_polar(math.pi / 4, 0.0)
     assert abs(diag.x - 1 / math.sqrt(2)) <= 1e-15
     assert abs(diag.z - 1 / math.sqrt(2)) <= 1e-15
 
@@ -72,7 +76,7 @@ def test_from_polar_examples():
 def test_to_polar_roundtrip():
     for _ in range(200):
         v = random_direction()
-        w = from_polar(to_polar(v))
+        w = from_polar(*to_polar(v))
         assert abs(v.x - w.x) <= 1e-12
         assert abs(v.y - w.y) <= 1e-12
         assert abs(v.z - w.z) <= 1e-12
@@ -83,28 +87,29 @@ def test_to_polar_roundtrip():
 
 def test_spin_observable_axes():
     pauli_x, _, pauli_z = _PAULIS
-    assert np.allclose(spin_observable(Z_AXIS).matrix, pauli_z)
-    assert np.allclose(spin_observable(X_AXIS).matrix, pauli_x)
+    assert np.allclose(spin_observable(Z_AXIS), pauli_z)
+    assert np.allclose(spin_observable(X_AXIS), pauli_x)
 
 
 def test_spin_observable_diagonal_direction():
     inv = 1 / math.sqrt(2)
     obs = spin_observable(UnitVector3(inv, 0.0, inv))
-    assert np.allclose(obs.matrix, [[inv, inv], [inv, -inv]])
-    eigs = np.linalg.eigvalsh(obs.matrix)
+    assert np.allclose(obs, [[inv, inv], [inv, -inv]])
+    eigs = np.linalg.eigvalsh(obs)
     assert np.allclose(eigs, [-1.0, 1.0], atol=1e-12)
 
 
 def test_spin_observable_random_directions():
     for _ in range(1000):
-        m = spin_observable(random_direction()).matrix
+        m = spin_observable(random_direction())
         assert np.max(np.abs(m @ m - np.eye(2))) <= 1e-12
         assert abs(np.trace(m)) <= 1e-15
         assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
 
 def test_spin_observable_matrix_is_read_only():
-    m = spin_observable(random_direction()).matrix
+    m = spin_observable(random_direction())
+    assert isinstance(m, np.ndarray)
     assert m.shape == (2, 2) and m.dtype == np.complex128
     with pytest.raises(ValueError):
         m[0, 0] = 0.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from bellsim.chsh import _PAULIS, born_expectation, correlation_tensor
 from bellsim.linalg import ComplexMatrix, min_eigenvalue_hermitian
 from bellsim.states import (
     DensityMatrix,
-    Visibility,
     make_singlet,
     make_werner,
     validate,
@@ -160,12 +161,11 @@ def test_density_matrix_is_read_only_and_owns_its_entries():
 
 
 def test_visibility_range():
-    assert Visibility(1.0).p == 1.0
-    assert Visibility(-1.0 / 3.0).p == -1.0 / 3.0
-    with pytest.raises(ValueError):
-        Visibility(1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        Visibility(-1.0 / 3.0 - 1e-9)
+    assert np.array_equal(make_werner(1.0).matrix, werner_matrix(1.0))
+    assert np.array_equal(make_werner(-1.0 / 3.0).matrix, werner_matrix(-1.0 / 3.0))
+    for p in (1.0 + 1e-9, -1.0 / 3.0 - 1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            make_werner(p)
 
 
 def test_each_state_copies_and_checks_its_array_once(monkeypatch):
