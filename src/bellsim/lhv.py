@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Sequence
 
 from .chsh import CorrelatorTable, chsh_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -75,14 +76,9 @@ class LhvModel:
 
 
 def lhv_correlators_exact(m: LhvModel) -> CorrelatorTable:
-    """Exact correlators: weighted sums of A_j(lambda) * B_k(lambda)."""
-    resp = np.array(m.responses, dtype=float)
-    w = np.array(m.weights)
-    a, b = resp[:, :2], resp[:, 2:]
-    e = np.einsum("l,lj,lk->jk", w, a, b)
-    return CorrelatorTable(
-        e11=float(e[0, 0]), e12=float(e[0, 1]), e21=float(e[1, 0]), e22=float(e[1, 1])
-    )
+    """Exact correlators: weighted sums of A_j(lambda) * B_k(lambda), in label order."""
+    pairs = list(zip(m.weights, m.responses))
+    return CorrelatorTable(*(sum((w * r[j] * r[k] for w, r in pairs), 0.0) for j in (0, 1) for k in (2, 3)))
 
 
 def bell_operator_integrand(m: LhvModel, lambda_index: int) -> float:
@@ -108,10 +104,10 @@ def classical_bound_exhaustive() -> float:
 
 
 #: Largest trial count the samplers accept. Every trial stays in memory, and
-#: a CLI run peaked at about 20 bytes per trial above the 37 MB of the import
-#: (237 MB for 1e7 trials of ``sample``, 207 MB for ``lhv --preset
-#: uniform16``), so the largest run needs about 2 GB. Larger counts are
-#: refused before any draw.
+#: a CLI run peaked at about 20 bytes per trial above the 35 MB of ``sample``
+#: at one trial, numpy loaded (235 MB for 1e7 trials of ``sample``, 207 MB for
+#: ``lhv --preset uniform16``), so the largest run needs about 2 GB. Larger
+#: counts are refused before any draw.
 MAX_TRIALS = 10**8
 
 
@@ -132,6 +128,7 @@ class TrialLog:
     b_outcome: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         names = [f.name for f in fields(self)]
         cols = [np.asarray(getattr(self, name)) for name in names]
         if not all(c.ndim == 1 and len(c) == len(cols[0]) for c in cols):
@@ -149,6 +146,7 @@ class TrialLog:
         return len(self.a_setting)
 
     def __eq__(self, other) -> bool:
+        import numpy as np
         if isinstance(other, TrialLog):
             return all(map(np.array_equal, self._columns, other._columns))
         return NotImplemented
@@ -179,6 +177,7 @@ class EstimatedTable:
 
 def estimate_from_records(log: TrialLog) -> EstimatedTable:
     """Estimate the correlator table from a non-empty :class:`TrialLog`."""
+    import numpy as np
     if not len(log):
         raise ValueError("cannot estimate correlators from an empty trial log")
     # One tally over 8 bins: the setting pair 2*(j-1) + (k-1), plus 4 when the outcomes agree.
@@ -210,6 +209,7 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
     :class:`TrialLog`.
     """
+    import numpy as np
     _check_trials(n_trials)
     rng = np.random.default_rng(seed)
     lam = rng.choice(len(m.responses), size=n_trials, p=np.array(m.weights))
@@ -235,6 +235,7 @@ def sample_quantum_experiment(
     ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
     :class:`TrialLog`.
     """
+    import numpy as np
     _check_trials(n_trials)
     rng = np.random.default_rng(seed)
     a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
@@ -248,13 +249,6 @@ def sample_quantum_experiment(
 
 TRIAL_LOG_HEADER = ("trial", "a_setting", "b_setting", "a_outcome", "b_outcome")
 
-#: Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 8*(j-1) + 4*(k-1) + 2*(x<0) + (y<0).
-_ROW_TAILS = (
-    np.array([f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)],
-             dtype="S11")
-    .view(np.uint8)
-    .reshape(16, 11)
-)
 _BLOCK = 10**4
 
 
@@ -267,6 +261,10 @@ def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
     low part, zero-padded unless ``h`` is 0, where the leading zeros are
     blanked to NUL instead.
     """
+    import numpy as np
+    # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 8*(j-1) + 4*(k-1) + 2*(x<0) + (y<0).
+    tails = [f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)]
+    row_tails = np.array(tails, dtype="S11").view(np.uint8).reshape(16, 11)
     low = np.arange(_BLOCK)[:, None]
     place = np.array([1000, 100, 10, 1])
     padded = (low // place % 10 + ord("0")).astype(np.uint8)
@@ -279,6 +277,6 @@ def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
         rows = np.hstack([
             np.broadcast_to(high, (len(code), len(high))),
             (padded if start else unpadded)[:len(code)],
-            _ROW_TAILS[code],
+            row_tails[code],
         ])
         stream.write(rows[rows != 0].tobytes().decode("ascii"))

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .linalg import ComplexMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_INPUT_TOL = 1e-9
 
@@ -38,9 +40,6 @@ class UnitVector3:
 
     def __neg__(self) -> "UnitVector3":
         return UnitVector3(-self.x, -self.y, -self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)

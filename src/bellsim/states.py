@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .linalg import ComplexMatrix, hermiticity_defect
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -53,6 +56,7 @@ def validate(matrix) -> StateDiagnostics:
 
 def _diagnose(m: np.ndarray) -> StateDiagnostics:
     """:func:`validate` on a matrix that :func:`ComplexMatrix` already copied and checked."""
+    import numpy as np
     if m.shape != (4, 4):
         raise ValueError("a two-qubit state must be 4x4")
     return StateDiagnostics(
@@ -83,19 +87,31 @@ class DensityMatrix:
             )
 
 
-_SINGLET_ENTRIES = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.5, -0.5, 0.0],
-        [0.0, -0.5, 0.5, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ]
-)
+@dataclass(frozen=True, eq=False, init=False)
+class WernerState(DensityMatrix):
+    """``p * singlet + (1-p)/4 * identity``, valid by construction: for ``p`` in
+    ``[-1/3, 1]`` (checked) the spectrum ``{(1+3p)/4, (1-p)/4 x3}`` is nonnegative.
+    ``matrix`` is built from :func:`werner_matrix` on first use."""
+
+    p: float
+
+    def __init__(self, p: float) -> None:
+        if not (VISIBILITY_MIN - _VISIBILITY_SLACK <= p <= VISIBILITY_MAX + _VISIBILITY_SLACK):
+            raise ValueError(f"visibility p={p!r} outside [{VISIBILITY_MIN!r}, {VISIBILITY_MAX!r}]: "
+                             "the state would not be positive semidefinite")
+        object.__setattr__(self, "p", float(p))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return ComplexMatrix(werner_matrix(self.p))
+
+
+_SINGLET_ENTRIES = ((0.0,) * 4, (0.0, 0.5, -0.5, 0.0), (0.0, -0.5, 0.5, 0.0), (0.0,) * 4)
 
 
 def make_singlet() -> DensityMatrix:
-    """Projector onto (ud - du)/sqrt(2) in the (uu, ud, du, dd) basis."""
-    return DensityMatrix(_SINGLET_ENTRIES)
+    """Projector onto (ud - du)/sqrt(2) in the (uu, ud, du, dd) basis: the Werner state at p = 1."""
+    return WernerState(1.0)
 
 
 def werner_matrix(p: float) -> np.ndarray:
@@ -104,7 +120,8 @@ def werner_matrix(p: float) -> np.ndarray:
     Useful for probing out-of-range ``p`` with :func:`validate`; use
     :func:`make_werner` to obtain a guaranteed state.
     """
-    return p * _SINGLET_ENTRIES + (1.0 - p) / 4.0 * np.eye(4)
+    import numpy as np
+    return p * np.array(_SINGLET_ENTRIES) + (1.0 - p) / 4.0 * np.eye(4)
 
 
 def make_werner(p: float) -> DensityMatrix:
@@ -114,9 +131,4 @@ def make_werner(p: float) -> DensityMatrix:
     white noise (identity/4); the full positivity range extends down to -1/3.
     Out-of-range ``p``, NaN included, raises instead of being clamped.
     """
-    if not (VISIBILITY_MIN - _VISIBILITY_SLACK <= p <= VISIBILITY_MAX + _VISIBILITY_SLACK):
-        raise ValueError(
-            f"visibility p={p!r} outside [{VISIBILITY_MIN!r}, {VISIBILITY_MAX!r}]: "
-            "the state would not be positive semidefinite"
-        )
-    return DensityMatrix(werner_matrix(p))
+    return WernerState(p)

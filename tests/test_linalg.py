@@ -7,7 +7,7 @@ from bellsim.observables import X_AXIS, Z_AXIS, spin_observable
 from bellsim.states import DensityMatrix, make_singlet, werner_matrix
 
 rng = np.random.default_rng(917)
-PAULI_X, PAULI_Y, PAULI_Z = _PAULIS
+PAULI_X, PAULI_Y, PAULI_Z = np.array(_PAULIS)
 
 
 def random_hermitian(dim):

@@ -1,6 +1,8 @@
 """Property tests: the correlation tensor equals the Born-rule traces, the
 settings built from the singular value decomposition of T reach the Horodecki
-closed form, and no state or local model exceeds its CHSH bound."""
+closed form, and no state or local model exceeds its CHSH bound. The plain
+Python paths for Werner states, correlator tables and local models agree with
+the numpy computations they replaced."""
 
 import math
 
@@ -12,6 +14,7 @@ from bellsim.chsh import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
     MeasurementSettings,
+    _table,
     chsh_quantum,
     chsh_value,
     correlation_tensor,
@@ -23,12 +26,15 @@ from bellsim.chsh import (
 )
 from bellsim.lhv import LhvModel, lhv_correlators_exact
 from bellsim.observables import UnitVector3, X_AXIS, Y_AXIS, Z_AXIS, spin_observable
-from bellsim.states import DensityMatrix, make_werner
+from bellsim.states import DensityMatrix, make_werner, validate, werner_matrix
 
 GAP_TOL = 1e-14
 BORN_TOL = 1e-15
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SEARCH_SEEDS = st.integers(min_value=0, max_value=1000)
+VISIBILITIES = st.floats(min_value=-1.0 / 3.0, max_value=1.0)
+#: The numpy version whose Born-trace bits the plain Werner tensor is pinned to, as in test_golden.py.
+NUMPY_VERSION = "2.4.6"
 
 
 def _pure(seed: int) -> DensityMatrix:
@@ -164,3 +170,58 @@ def test_rank_one_tensor_classical_correlation(q, seed):
 def test_tiny_werner_visibility(p, seed):
     """A T near the bottom of the float range still gives unit directions."""
     _assert_reaches_closed_form(make_werner(p), seed)
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION, reason=f"the bits were compared under numpy {NUMPY_VERSION}")
+@settings(max_examples=300, deadline=None)
+@given(p=VISIBILITIES)
+def test_werner_tensor_has_the_bits_of_the_numpy_born_traces(p):
+    """A Werner state's plain-float T equals the numpy T of its matrix, signed zeros included."""
+    plain = correlation_tensor(make_werner(p))
+    born = correlation_tensor(DensityMatrix(werner_matrix(p)))
+    assert [[x.hex() for x in row] for row in plain] == [[x.hex() for x in row] for row in born]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=VISIBILITIES)
+def test_werner_states_are_valid_by_construction(p):
+    """The range check alone makes a state: the eigensolver agrees, and the lazy matrix is werner_matrix(p)."""
+    diag = validate(werner_matrix(p))
+    assert diag.is_valid
+    assert abs(diag.min_eigenvalue - min((1 + 3 * p) / 4, (1 - p) / 4)) <= 1e-15
+    matrix = make_werner(p).matrix
+    assert not matrix.flags.writeable
+    assert matrix.tobytes() == werner_matrix(p).astype(np.complex128).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(settings_seed=SEEDS, entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))
+def test_plain_table_matches_the_numpy_product(settings_seed, entries):
+    t_mat = np.reshape(entries, (3, 3))
+    t_mat /= max(1.0, np.linalg.norm(t_mat))  # spectral norm at most 1, so every |e_jk| <= 1
+    s = _random_settings(settings_seed)
+    a, b = ([[v.x, v.y, v.z] for v in pair] for pair in ((s.a1, s.a2), (s.b1, s.b2)))
+    expected = (np.array(a) @ t_mat @ np.array(b).T).ravel()
+    table = _table(tuple(map(tuple, t_mat.tolist())), s)
+    assert np.abs(np.array(list(table.as_dict().values())) - expected).max() <= 1e-15
+
+
+def _einsum_table(model: LhvModel) -> list[float]:
+    resp = np.array(model.responses, dtype=float)
+    return np.einsum("l,lj,lk->jk", np.array(model.weights), resp[:, :2], resp[:, 2:]).ravel().tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts=st.lists(st.integers(0, 2**20), min_size=15, max_size=15))
+def test_lhv_sums_equal_einsum_on_dyadic_weights(cuts):
+    bounds = [0, *sorted(cuts), 2**20]
+    model = LhvModel.from_pattern_weights([(hi - lo) / 2**20 for lo, hi in zip(bounds, bounds[1:])])
+    assert list(lhv_correlators_exact(model).as_dict().values()) == _einsum_table(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS)
+def test_lhv_sums_match_einsum_on_dirichlet_weights(seed):
+    model = LhvModel.from_pattern_weights(np.random.default_rng(seed).dirichlet(np.ones(16)).tolist())
+    table = list(lhv_correlators_exact(model).as_dict().values())
+    assert max(abs(x - y) for x, y in zip(table, _einsum_table(model))) <= 1e-15

@@ -176,8 +176,14 @@ def test_each_state_copies_and_checks_its_array_once(monkeypatch):
         return ComplexMatrix(entries)
 
     monkeypatch.setattr("bellsim.states.ComplexMatrix", counting)
-    for build in (make_singlet, lambda: make_werner(0.5), lambda: DensityMatrix(_ginibre(0)),
-                  lambda: validate(werner_matrix(1.2))):
+    # A Werner state copies and checks nothing until its matrix is first read, then keeps that copy.
+    for build in (make_singlet, lambda: make_werner(0.5)):
+        calls.clear()
+        rho = build()
+        assert not calls
+        assert rho.matrix is rho.matrix
+        assert len(calls) == 1
+    for build in (lambda: DensityMatrix(_ginibre(0)), lambda: validate(werner_matrix(1.2))):
         calls.clear()
         build()
         assert len(calls) == 1
