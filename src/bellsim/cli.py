@@ -28,8 +28,7 @@ from .lhv import (
     classical_bound_exhaustive,
     deterministic_chsh_values,
     lhv_correlators_exact,
-    pattern_label,
-    RESPONSE_PATTERNS,
+    PATTERN_LABELS,
     sample_lhv_experiment,
     sample_quantum_experiment,
     write_trial_log,
@@ -330,7 +329,7 @@ def _run_optimize(cfg: argparse.Namespace):
 
 def _run_werner_sweep(cfg: argparse.Namespace):
     if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
-        raise ValueError(f"sweep range [{cfg.p_min}, {cfg.p_max}] must sit inside [-1/3, 1]")
+        raise ValueError(f"sweep range needs -1/3 <= p_min < p_max <= 1, got p_min={cfg.p_min}, p_max={cfg.p_max}")
     gaps = []
 
     def optimized_row(p: float) -> dict:
@@ -389,7 +388,7 @@ def _run_lhv(cfg: argparse.Namespace):
             "inputs": {"model": "exhaustive", "seed": cfg.seed},
             "results": {
                 "classical_bound": bound,
-                "pattern_labels": [pattern_label(p) for p in RESPONSE_PATTERNS],
+                "pattern_labels": list(PATTERN_LABELS),
                 "pattern_values": list(values),
             },
             "diagnostics": {"patterns": len(values)},
@@ -416,7 +415,7 @@ def _run_lhv(cfg: argparse.Namespace):
     human = [f"lhv  model={model_name}"]
     human.extend(f"{k} = {_fmt9(v)}" for k, v in table.as_dict().items())
     human.append(f"S   = {_fmt9(s)}")
-    diagnostics: dict = {"labels": list(model.labels)}
+    diagnostics: dict = {"labels": list(PATTERN_LABELS)}
     if cfg.trials is not None:
         estimate, log = sample_lhv_experiment(model, cfg.trials, cfg.seed)
         results["estimate"] = _estimate_dict(estimate)

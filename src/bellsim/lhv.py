@@ -1,10 +1,10 @@
 """Local hidden-variable side of the CHSH analysis.
 
-Hidden variables live on a finite, explicit space: each label carries a
-probability weight and four predetermined outcomes (A1, A2, B1, B2), each +1
-or -1. A's responses never reference B's setting choice and vice versa, so
-locality is structural. Any distribution over deterministic strategies is
-equivalent, for CHSH statistics, to a mixture of the 16 sign patterns.
+A local model is 16 probability weights, one per deterministic response
+pattern (A1, A2, B1, B2) of +1/-1 values. Fine (Phys. Rev. Lett. 48, 291,
+1982) showed that every local model of the CHSH statistics is such a
+mixture. A's outcome never references B's setting choice and vice versa, so
+locality is structural.
 """
 
 from __future__ import annotations
@@ -26,49 +26,37 @@ RESPONSE_PATTERNS: tuple[tuple[int, int, int, int], ...] = tuple(
     tuple(1 - 2 * ((i >> k) & 1) for k in (3, 2, 1, 0)) for i in range(16)
 )
 
-
-def pattern_label(responses: Sequence[int]) -> str:
-    return "".join("+" if v > 0 else "-" for v in responses)
+#: Each pattern as four signs, e.g. "+-+-" for (1, -1, 1, -1), in RESPONSE_PATTERNS order.
+PATTERN_LABELS: tuple[str, ...] = tuple("".join("+" if v > 0 else "-" for v in p) for p in RESPONSE_PATTERNS)
 
 
 @dataclass(frozen=True)
 class LhvModel:
-    """Finite hidden-variable space: labels, probability weights, responses."""
+    """A mixture of the 16 deterministic patterns: one weight each, in RESPONSE_PATTERNS order."""
 
-    labels: tuple[str, ...]
     weights: tuple[float, ...]
-    responses: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValueError("model needs at least one hidden-variable label")
-        if not len(self.labels) == len(self.weights) == len(self.responses):
-            raise ValueError("labels, weights and responses must have equal length")
+        if len(self.weights) != 16:
+            raise ValueError(f"need 16 pattern weights, got {len(self.weights)}")
         if not all(w >= 0.0 for w in self.weights):
             raise ValueError("weights must be nonnegative numbers")
         total = math.fsum(self.weights)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
-        for resp in self.responses:
-            if len(resp) != 4 or any(v not in (1, -1) for v in resp):
-                raise ValueError(f"responses must be four values in {{+1, -1}}, got {resp!r}")
 
     @classmethod
-    def deterministic(cls, responses: Sequence[int]) -> "LhvModel":
-        """Single hidden variable with the given (A1, A2, B1, B2) outcomes."""
-        resp = tuple(int(v) for v in responses)
-        return cls(labels=(pattern_label(resp),), weights=(1.0,), responses=(resp,))
+    def deterministic(cls, pattern: Sequence[int]) -> "LhvModel":
+        """All weight on one pattern, given as its (A1, A2, B1, B2) outcomes."""
+        pattern = tuple(pattern)
+        if pattern not in RESPONSE_PATTERNS:
+            raise ValueError(f"{pattern!r} is not one of the 16 patterns of four +1/-1 values")
+        return cls.from_pattern_weights([float(p == pattern) for p in RESPONSE_PATTERNS])
 
     @classmethod
     def from_pattern_weights(cls, weights: Sequence[float]) -> "LhvModel":
-        """Mixture over the 16 deterministic patterns in RESPONSE_PATTERNS order."""
-        if len(weights) != 16:
-            raise ValueError(f"need 16 pattern weights, got {len(weights)}")
-        return cls(
-            labels=tuple(pattern_label(p) for p in RESPONSE_PATTERNS),
-            weights=tuple(float(w) for w in weights),
-            responses=RESPONSE_PATTERNS,
-        )
+        """The model with these 16 weights, each converted to float."""
+        return cls(weights=tuple(float(w) for w in weights))
 
     @classmethod
     def uniform16(cls) -> "LhvModel":
@@ -76,17 +64,9 @@ class LhvModel:
 
 
 def lhv_correlators_exact(m: LhvModel) -> CorrelatorTable:
-    """Exact correlators: weighted sums of A_j(lambda) * B_k(lambda), in label order."""
-    pairs = list(zip(m.weights, m.responses))
+    """Exact correlators: weighted sums of A_j * B_k over the patterns, in RESPONSE_PATTERNS order."""
+    pairs = list(zip(m.weights, RESPONSE_PATTERNS))
     return CorrelatorTable(*(sum((w * r[j] * r[k] for w, r in pairs), 0.0) for j in (0, 1) for k in (2, 3)))
-
-
-def bell_operator_integrand(m: LhvModel, lambda_index: int) -> float:
-    """A1*(B1 + B2) + A2*(B1 - B2) at one hidden variable; always +2 or -2."""
-    if not 0 <= lambda_index < len(m.responses):
-        raise ValueError(f"lambda index {lambda_index} out of range for {len(m.responses)} labels")
-    a1, a2, b1, b2 = m.responses[lambda_index]
-    return float(a1 * (b1 + b2) + a2 * (b1 - b2))
 
 
 def deterministic_chsh_values() -> tuple[float, ...]:
@@ -201,10 +181,10 @@ def _check_trials(n_trials: int) -> None:
 def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[EstimatedTable, TrialLog]:
     """Simulate ``n_trials`` runs of the hidden-variable model.
 
-    Per trial a fresh hidden variable is drawn from the model's weights and
-    the two setting indices are drawn uniformly, independently of it and of
-    each other. The stream contract for a given seed is: one PCG64 generator
-    (numpy ``default_rng``), consumed in the order lambda indices, A settings,
+    Per trial a fresh pattern is drawn from the model's weights and the two
+    setting indices are drawn uniformly, independently of it and of each
+    other. The stream contract for a given seed is: one PCG64 generator
+    (numpy ``default_rng``), consumed in the order pattern indices, A settings,
     B settings, each as one vectorized draw. ``n_trials`` must lie in
     ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
     :class:`TrialLog`.
@@ -212,10 +192,10 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     import numpy as np
     _check_trials(n_trials)
     rng = np.random.default_rng(seed)
-    lam = rng.choice(len(m.responses), size=n_trials, p=np.array(m.weights))
+    lam = rng.choice(16, size=n_trials, p=np.array(m.weights))
     a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
     b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
-    resp = np.array(m.responses, dtype=np.int8)
+    resp = np.array(RESPONSE_PATTERNS, dtype=np.int8)
     a_out, b_out = resp[lam, a_set - 1], resp[lam, b_set + 1]
     del lam  # 8 B per trial, which the estimate would hold on to
     log = TrialLog(a_set, b_set, a_out, b_out)

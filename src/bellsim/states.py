@@ -6,12 +6,11 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .linalg import ComplexMatrix, hermiticity_defect
+from .linalg import HERMITICITY_TOL, ComplexMatrix, hermiticity_defect
 
 if TYPE_CHECKING:
     import numpy as np
 
-HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_ATOL = 1e-10
 
@@ -34,7 +33,7 @@ class StateDiagnostics:
 
     @property
     def hermitian_ok(self) -> bool:
-        return self.hermiticity_error <= HERMITIAN_ATOL
+        return self.hermiticity_error <= HERMITICITY_TOL
 
     @property
     def trace_ok(self) -> bool:

@@ -176,6 +176,13 @@ def test_werner_sweep_rejects_bad_range(capsys):
     assert run_cli(capsys, "werner-sweep", "--points", "1")[0] == 2
 
 
+@pytest.mark.parametrize("p_min, p_max", [("0.9", "0.1"), ("0.5", "0.5")])
+def test_werner_sweep_rejects_unordered_bounds(capsys, p_min, p_max):
+    code, out, err = run_cli(capsys, "werner-sweep", "--p-min", p_min, "--p-max", p_max)
+    assert code == 2 and out == ""
+    assert f"needs -1/3 <= p_min < p_max <= 1, got p_min={p_min}, p_max={p_max}" in err
+
+
 # --- lhv ----------------------------------------------------------------
 
 

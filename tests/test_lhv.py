@@ -8,14 +8,13 @@ from bellsim.chsh import CorrelatorTable, TSIRELSON_BOUND, chsh_value, correlato
 from bellsim.chsh import singlet_optimal_settings
 from bellsim.lhv import (
     LhvModel,
+    PATTERN_LABELS,
     RESPONSE_PATTERNS,
     TrialLog,
-    bell_operator_integrand,
     classical_bound_exhaustive,
     deterministic_chsh_values,
     estimate_from_records,
     lhv_correlators_exact,
-    pattern_label,
     sample_lhv_experiment,
     sample_quantum_experiment,
     write_trial_log,
@@ -35,22 +34,21 @@ def test_pattern_enumeration():
     assert RESPONSE_PATTERNS[15] == (-1, -1, -1, -1)
     # index bits (A1 A2 B1 B2), 0 -> +1: 5 = 0b0101 -> (+1, -1, +1, -1)
     assert RESPONSE_PATTERNS[5] == (1, -1, 1, -1)
-    assert pattern_label(RESPONSE_PATTERNS[5]) == "+-+-"
+    assert PATTERN_LABELS[5] == "+-+-"
 
 
 def test_model_validation_errors():
-    with pytest.raises(ValueError):
-        LhvModel(labels=(), weights=(), responses=())
-    with pytest.raises(ValueError):
-        LhvModel(labels=("a",), weights=(0.5,), responses=((1, 1, 1, 1),))
-    with pytest.raises(ValueError):
-        LhvModel(labels=("a", "b"), weights=(1.5, -0.5), responses=((1, 1, 1, 1), (1, 1, 1, -1)))
-    with pytest.raises(ValueError):
-        LhvModel(labels=("a",), weights=(1.0,), responses=((1, 1, 1, 0),))
-    with pytest.raises(ValueError):
-        LhvModel(labels=("a", "b"), weights=(1.0,), responses=((1, 1, 1, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="16 pattern weights"):
+        LhvModel(weights=(1.0,))
+    with pytest.raises(ValueError, match="16 pattern weights"):
         LhvModel.from_pattern_weights([1.0] + [0.0] * 14)
+    with pytest.raises(ValueError, match="sum"):
+        LhvModel.from_pattern_weights([0.5] + [0.0] * 15)
+    with pytest.raises(ValueError, match="nonnegative"):
+        LhvModel.from_pattern_weights([1.5, -0.5] + [0.0] * 14)
+    for not_a_pattern in [(1, 1, 1, 0), (1, 1, 1), (1, 1, 1, 1, 1)]:
+        with pytest.raises(ValueError, match="not one of the 16 patterns"):
+            LhvModel.deterministic(not_a_pattern)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -80,9 +78,8 @@ def test_global_sign_flip_leaves_table_unchanged():
     resp = (1, -1, 1, 1)
     flipped = tuple(-v for v in resp)
     single = lhv_correlators_exact(LhvModel.deterministic(resp))
-    mixed = lhv_correlators_exact(
-        LhvModel(labels=("r", "f"), weights=(0.5, 0.5), responses=(resp, flipped))
-    )
+    weights = [0.5 if p in (resp, flipped) else 0.0 for p in RESPONSE_PATTERNS]
+    mixed = lhv_correlators_exact(LhvModel.from_pattern_weights(weights))
     assert single.as_dict() == mixed.as_dict()
 
 
@@ -92,25 +89,6 @@ def test_uniform16_table_is_zero():
 
 
 # --- the classical bound ---------------------------------------------------------
-
-
-def test_integrand_examples():
-    model = LhvModel.from_pattern_weights([1.0 / 16.0] * 16)
-    assert bell_operator_integrand(model, 0) == 2.0  # (+ + + +)
-    assert bell_operator_integrand(model, 5) == -2.0  # (+ - + -): B1+B2 = 0, A2*(B1-B2) = -2
-
-
-def test_integrand_always_plus_minus_two():
-    model = LhvModel.uniform16()
-    values = {bell_operator_integrand(model, i) for i in range(16)}
-    assert values == {2.0, -2.0}
-
-
-def test_integrand_rejects_bad_index():
-    with pytest.raises(ValueError):
-        bell_operator_integrand(LhvModel.uniform16(), 16)
-    with pytest.raises(ValueError):
-        bell_operator_integrand(LhvModel.uniform16(), -1)
 
 
 def test_exhaustive_bound_is_exactly_two():
@@ -130,13 +108,9 @@ def test_random_mixtures_never_exceed_two():
 def test_random_sparse_models_never_exceed_two():
     for _ in range(1000):
         n = int(rng.integers(1, 9))
-        weights = rng.dirichlet(np.ones(n))
-        responses = tuple(tuple(rng.choice([1, -1]) for _ in range(4)) for _ in range(n))
-        model = LhvModel(
-            labels=tuple(f"l{i}" for i in range(n)),
-            weights=tuple(weights),
-            responses=responses,
-        )
+        weights = np.zeros(16)
+        weights[rng.choice(16, size=n, replace=False)] = rng.dirichlet(np.ones(n))
+        model = LhvModel.from_pattern_weights(weights)
         assert abs(chsh_value(lhv_correlators_exact(model))) <= 2.0 + 1e-12
 
 
@@ -144,13 +118,28 @@ def test_random_sparse_models_never_exceed_two():
 
 
 def test_deterministic_model_samples_exactly():
-    model = LhvModel.deterministic((1, 1, 1, 1))
-    estimate, records = sample_lhv_experiment(model, 1000, seed=5)
-    assert estimate.table.as_dict() == {"e11": 1.0, "e12": 1.0, "e21": 1.0, "e22": 1.0}
-    assert estimate.std_errors == (0.0, 0.0, 0.0, 0.0)
-    assert sum(estimate.counts) == 1000
-    assert len(records) == 1000
-    assert (records.a_outcome == 1).all() and (records.b_outcome == 1).all()
+    for pattern in RESPONSE_PATTERNS:
+        estimate, records = sample_lhv_experiment(LhvModel.deterministic(pattern), 1000, seed=5)
+        a1, a2, b1, b2 = pattern
+        assert estimate.table == CorrelatorTable(a1 * b1, a1 * b2, a2 * b1, a2 * b2)
+        assert estimate.std_errors == (0.0, 0.0, 0.0, 0.0)
+        assert sum(estimate.counts) == 1000
+        assert len(records) == 1000
+        outcomes = np.array(pattern)
+        assert np.array_equal(records.a_outcome, outcomes[records.a_setting - 1])
+        assert np.array_equal(records.b_outcome, outcomes[records.b_setting + 1])
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_settings_do_not_depend_on_the_model(n):
+    """Measurement independence: at one seed every model draws the same setting choices."""
+    models = [LhvModel.deterministic(p) for p in RESPONSE_PATTERNS]
+    models.append(LhvModel.from_pattern_weights(np.random.default_rng(17).dirichlet(np.ones(16))))
+    _, reference = sample_lhv_experiment(LhvModel.uniform16(), n, seed=23)
+    for model in models:
+        _, records = sample_lhv_experiment(model, n, seed=23)
+        assert np.array_equal(records.a_setting, reference.a_setting)
+        assert np.array_equal(records.b_setting, reference.b_setting)
 
 
 def test_uniform16_sample_within_four_sigma():
