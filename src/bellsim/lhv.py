@@ -39,8 +39,9 @@ class LhvModel:
     def __post_init__(self) -> None:
         if len(self.weights) != 16:
             raise ValueError(f"need 16 pattern weights, got {len(self.weights)}")
-        if not all(w >= 0.0 for w in self.weights):
-            raise ValueError("weights must be nonnegative numbers")
+        # Checked before the sum: math.fsum overflows on weights such as 1e308 + 1e308.
+        if not all(0.0 <= w <= 1.0 for w in self.weights):
+            raise ValueError("weights must be nonnegative numbers of at most 1")
         total = math.fsum(self.weights)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")

@@ -222,6 +222,14 @@ def test_lhv_rejects_non_finite_weights(capsys, bad):
     assert out == ""
 
 
+def test_lhv_rejects_weights_whose_sum_overflows(capsys):
+    code, out, err = run_cli(capsys, "lhv", "--weights", "1e308", "1e308", *["0"] * 14)
+    assert code == 2
+    assert out == ""
+    assert "at most 1" in err
+    assert "Traceback" not in err
+
+
 def test_lhv_requires_exactly_one_model(capsys):
     assert run_cli(capsys, "lhv")[0] == 2
     assert run_cli(capsys, "lhv", "--exhaustive", "--preset", "uniform16")[0] == 2

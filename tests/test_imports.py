@@ -32,12 +32,19 @@ def test_package_import_loads_no_numpy():
     assert _fresh("import sys, bellsim; print('numpy' in sys.modules)").strip() == "False"
 
 
-#: (argv, exit code): the exact chsh and lhv commands, help and an input error.
+#: (argv, exit code): the exact chsh and lhv commands, optimize and werner-sweep on
+#: singlet and Werner states (whose diagonal T needs no LAPACK SVD), help and an input error.
 PLAIN_RUNS = [
     (["chsh", "--preset", "optimal"], 0),
     (["chsh", "--state", "werner:0.8", "--preset", "aligned"], 0),
     (["chsh", *ANGLES], 0),
     (["chsh", "--state", "werner:-0.25", *ANGLES], 0),
+    (["optimize", "--state", "singlet"], 0),
+    (["optimize", "--state", "werner:0.9"], 0),
+    (["optimize", "--state", "werner:-0.25"], 0),
+    (["optimize", "--state", "werner:0"], 0),
+    (["optimize", "--format", "csv"], 0),
+    (["werner-sweep", "--points", "5"], 0),
     (["lhv", "--exhaustive"], 0),
     (["lhv", "--weights", *WEIGHTS], 0),
     (["lhv", "--preset", "uniform16"], 0),

@@ -59,6 +59,12 @@ def test_model_rejects_non_finite_weights(bad):
         LhvModel.from_pattern_weights([1.0, bad] + [0.0] * 14)
 
 
+def test_model_rejects_weights_above_one_before_summing():
+    """1e308 + 1e308 overflows math.fsum; the range check comes first."""
+    with pytest.raises(ValueError, match="at most 1"):
+        LhvModel.from_pattern_weights([1e308, 1e308] + [0.0] * 14)
+
+
 def test_uniform16_weights():
     model = LhvModel.uniform16()
     assert len(model.weights) == 16

@@ -1,8 +1,8 @@
 """Property tests: the correlation tensor equals the Born-rule traces, the
 settings built from the singular value decomposition of T reach the Horodecki
 closed form, and no state or local model exceeds its CHSH bound. The plain
-Python paths for Werner states, correlator tables and local models agree with
-the numpy computations they replaced."""
+Python paths for Werner states, their diagonal T's SVD, correlator tables and
+local models agree with the numpy computations they replaced."""
 
 import math
 
@@ -14,6 +14,7 @@ from bellsim.chsh import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
     MeasurementSettings,
+    _svd,
     _table,
     chsh_quantum,
     chsh_value,
@@ -21,6 +22,7 @@ from bellsim.chsh import (
     correlator_table,
     horodecki_max_s,
     optimize_settings,
+    optimize_settings_traced,
     quantum_correlator,
     tsirelson_check,
 )
@@ -168,6 +170,62 @@ def test_tiny_werner_visibility(p, seed):
     """A T near the bottom of the float range still gives unit directions; the seed keyword changes nothing."""
     _assert_reaches_closed_form(make_werner(p))
     assert optimize_settings(make_werner(p), seed=seed) == optimize_settings(make_werner(p))
+
+
+#: Werner visibilities: fixed uniform draws plus the ends of the range, signed zeros,
+#: tiny and subnormal p and the threshold 1/sqrt(2).
+WERNER_PANEL = [
+    *np.random.default_rng(2027).uniform(-1.0 / 3.0, 1.0, 300).tolist(),
+    -1.0 / 3.0, -0.0, 0.0, 5e-324, 1e-300, 1.0 / math.sqrt(2.0), 1.0,
+]
+#: LAPACK scales a T whose largest entry is below sqrt(tiny)/(2 eps), about
+#: 6.7e-139, up before its SVD and back after, which can move the last bit of a
+#: singular value (at p = 1e-300 it returns 1 ulp less); this bound lies above.
+LAPACK_SCALING_BELOW = 1e-138
+
+
+def _lapack_reference(t_mat) -> tuple[float, list[float]]:
+    """|S| and the singular values from np.linalg.svd of T, with the settings built as the closed form says."""
+    u, s, vt = np.linalg.svd(t_mat)
+    r = s[1] / s[0] if s[0] > 0.0 else 0.0
+    norm = math.hypot(1.0, r)
+    vectors = (u[:, 0], u[:, 1], (vt[0] + r * vt[1]) / norm, (vt[0] - r * vt[1]) / norm)
+    ref = MeasurementSettings(*(UnitVector3(*v.tolist()) for v in vectors))
+    return abs(chsh_value(_table(t_mat, ref))), s.tolist()
+
+
+def test_diagonal_svd_matches_lapack_on_werner_panel():
+    """A Werner state's plain-Python SVD is exact and gives LAPACK's S to the bit and valid settings.
+
+    The directions may differ from LAPACK's where singular values tie: the
+    plain path keeps the order x, y, z, LAPACK has its own.
+    """
+    for p in WERNER_PANEL:
+        rho = make_werner(p)
+        t_mat = correlation_tensor(rho)
+        u, sv, vt = _svd(t_mat)
+        assert (np.array(u).T @ np.diag(sv) @ np.array(vt)).tolist() == [list(row) for row in t_mat], p
+        result, trace_info = optimize_settings_traced(rho)
+        s_ref, sv_ref = _lapack_reference(t_mat)
+        assert result.s_value.hex() == s_ref.hex(), p
+        if abs(p) >= LAPACK_SCALING_BELOW:
+            assert list(trace_info.singular_values) == sv_ref, p
+        else:
+            assert all(abs(x - y) <= math.ulp(y) for x, y in zip(trace_info.singular_values, sv_ref)), p
+        st = result.settings
+        assert abs(st.a1.dot(st.a2)) <= 1e-15, p
+        assert all(abs(b.dot(b) - 1.0) <= 1e-15 for b in (st.b1, st.b2)), p
+        assert abs(trace_info.optimality_gap) <= GAP_TOL, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["pure", "ginibre"]), state_seed=SEEDS)
+def test_horodecki_max_s_matches_an_oracle_without_svd(kind, state_seed):
+    """s1^2 + s2^2 = |T|_F^2 - lambda_min(T^T T): the singular values squared are the eigenvalues of T^T T."""
+    rho = _state(kind, state_seed)
+    t_mat = np.array(correlation_tensor(rho))
+    want = float(np.sum(t_mat**2)) - float(np.linalg.eigvalsh(t_mat.T @ t_mat)[0])
+    assert abs(horodecki_max_s(rho) ** 2 / 4.0 - want) <= 1e-12 * want
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION, reason=f"the bits were compared under numpy {NUMPY_VERSION}")
