@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from .linalg import Record
 from .observables import UnitVector3, X_AXIS, Z_AXIS, from_polar
 from .states import DensityMatrix, WernerState, make_werner
 
@@ -82,33 +82,32 @@ def singlet_correlator_analytic(a: UnitVector3, b: UnitVector3) -> float:
     return -a.dot(b)
 
 
-@dataclass(frozen=True)
-class MeasurementSettings:
+class MeasurementSettings(Record):
     """One CHSH configuration: A chooses between a1/a2, B between b1/b2."""
 
-    a1: UnitVector3
-    a2: UnitVector3
-    b1: UnitVector3
-    b2: UnitVector3
+    __slots__ = ("a1", "a2", "b1", "b2")
+
+    def __init__(self, a1: UnitVector3, a2: UnitVector3, b1: UnitVector3, b2: UnitVector3) -> None:
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
 
     def flip_b(self) -> "MeasurementSettings":
         """Negate both of B's directions; this negates the CHSH value exactly."""
         return MeasurementSettings(self.a1, self.a2, -self.b1, -self.b2)
 
 
-@dataclass(frozen=True)
-class CorrelatorTable:
+class CorrelatorTable(Record):
     """The four correlators e_jk = <A_j B_k>, each necessarily in [-1, 1]."""
 
-    e11: float
-    e12: float
-    e21: float
-    e22: float
+    __slots__ = ("e11", "e12", "e21", "e22")
 
-    def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+    def __init__(self, e11: float, e12: float, e21: float, e22: float) -> None:
+        for name, value in zip(self.__slots__, (e11, e12, e21, e22)):
             if not abs(value) <= 1.0 + _CORRELATOR_SLACK:
                 raise ValueError(f"correlator {name}={value!r} outside [-1, 1]")
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
         return {"e11": self.e11, "e12": self.e12, "e21": self.e21, "e22": self.e22}
@@ -119,10 +118,14 @@ def chsh_value(t: CorrelatorTable) -> float:
     return t.e11 + t.e12 + t.e21 - t.e22
 
 
-@dataclass(frozen=True)
-class ChshResult:
-    s_value: float
-    settings: MeasurementSettings
+class ChshResult(Record):
+    """The CHSH value ``s_value`` reached at ``settings``, with its bound flags."""
+
+    __slots__ = ("s_value", "settings")
+
+    def __init__(self, s_value: float, settings: MeasurementSettings) -> None:
+        object.__setattr__(self, "s_value", s_value)
+        object.__setattr__(self, "settings", settings)
 
     @property
     def violates_classical(self) -> bool:
@@ -218,8 +221,7 @@ def _svd(t_mat: Tensor) -> tuple[list[list[float]], list[float], list[list[float
     return u.T.tolist(), s.tolist(), vt.tolist()
 
 
-@dataclass(frozen=True)
-class OptimizationTrace:
+class OptimizationTrace(Record):
     """Bookkeeping for one settings search.
 
     ``singular_values`` are those of T, largest first, from which the
@@ -227,8 +229,11 @@ class OptimizationTrace:
     the returned S, evaluated at the returned settings.
     """
 
-    singular_values: tuple[float, float, float]
-    optimality_gap: float
+    __slots__ = ("singular_values", "optimality_gap")
+
+    def __init__(self, singular_values: tuple[float, float, float], optimality_gap: float) -> None:
+        object.__setattr__(self, "singular_values", singular_values)
+        object.__setattr__(self, "optimality_gap", optimality_gap)
 
     @property
     def grid_evaluations(self) -> int:

@@ -10,10 +10,10 @@ locality is structural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import IO, TYPE_CHECKING, Sequence
 
 from .chsh import CorrelatorTable, chsh_value
+from .linalg import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,21 +30,21 @@ RESPONSE_PATTERNS: tuple[tuple[int, int, int, int], ...] = tuple(
 PATTERN_LABELS: tuple[str, ...] = tuple("".join("+" if v > 0 else "-" for v in p) for p in RESPONSE_PATTERNS)
 
 
-@dataclass(frozen=True)
-class LhvModel:
+class LhvModel(Record):
     """A mixture of the 16 deterministic patterns: one weight each, in RESPONSE_PATTERNS order."""
 
-    weights: tuple[float, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != 16:
-            raise ValueError(f"need 16 pattern weights, got {len(self.weights)}")
+    def __init__(self, weights: tuple[float, ...]) -> None:
+        if len(weights) != 16:
+            raise ValueError(f"need 16 pattern weights, got {len(weights)}")
         # Checked before the sum: math.fsum overflows on weights such as 1e308 + 1e308.
-        if not all(0.0 <= w <= 1.0 for w in self.weights):
+        if not all(0.0 <= w <= 1.0 for w in weights):
             raise ValueError("weights must be nonnegative numbers of at most 1")
-        total = math.fsum(self.weights)
+        total = math.fsum(weights)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def deterministic(cls, pattern: Sequence[int]) -> "LhvModel":
@@ -96,32 +96,25 @@ def _all_in(column: np.ndarray, allowed: tuple[int, int]) -> bool:
     return bool(((column == allowed[0]) | (column == allowed[1])).all())
 
 
-@dataclass(frozen=True, eq=False)
-class TrialLog:
+class TrialLog(Record):
     """Sampled trials as four int8 columns; trial ``i`` is row ``i``.
 
-    A log equals another log holding the same trials in the same order.
+    A log equals another log holding the same trials in the same order; logs
+    are unhashable.
     """
 
-    a_setting: np.ndarray
-    b_setting: np.ndarray
-    a_outcome: np.ndarray
-    b_outcome: np.ndarray
+    __slots__ = ("a_setting", "b_setting", "a_outcome", "b_outcome")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a_setting: np.ndarray, b_setting: np.ndarray, a_outcome: np.ndarray,
+                 b_outcome: np.ndarray) -> None:
         import numpy as np
-        names = [f.name for f in fields(self)]
-        cols = [np.asarray(getattr(self, name)) for name in names]
+        cols = [np.asarray(c) for c in (a_setting, b_setting, a_outcome, b_outcome)]
         if not all(c.ndim == 1 and len(c) == len(cols[0]) for c in cols):
             raise ValueError("trial log columns must be 1-D and of equal length")
         if not (all(_all_in(c, (1, 2)) for c in cols[:2]) and all(_all_in(c, (1, -1)) for c in cols[2:])):
             raise ValueError("trial log settings must be 1 or 2 and outcomes +1 or -1")
-        for name, c in zip(names, cols):
+        for name, c in zip(self.__slots__, cols):
             object.__setattr__(self, name, c.astype(np.int8, copy=False))
-
-    @property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.a_setting, self.b_setting, self.a_outcome, self.b_outcome)
 
     def __len__(self) -> int:
         return len(self.a_setting)
@@ -129,12 +122,11 @@ class TrialLog:
     def __eq__(self, other) -> bool:
         import numpy as np
         if isinstance(other, TrialLog):
-            return all(map(np.array_equal, self._columns, other._columns))
+            return all(map(np.array_equal, self._values(), other._values()))
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class EstimatedTable:
+class EstimatedTable(Record):
     """Correlators estimated from finite statistics.
 
     ``counts`` and ``std_errors`` follow the (11, 12, 21, 22) entry order of
@@ -142,9 +134,13 @@ class EstimatedTable:
     setting pair received no trials.
     """
 
-    table: CorrelatorTable
-    counts: tuple[int, int, int, int]
-    std_errors: tuple[float, float, float, float]
+    __slots__ = ("table", "counts", "std_errors")
+
+    def __init__(self, table: CorrelatorTable, counts: tuple[int, int, int, int],
+                 std_errors: tuple[float, float, float, float]) -> None:
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "std_errors", std_errors)
 
     @property
     def s_estimate(self) -> float:
@@ -252,7 +248,7 @@ def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
     unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
     stream.write(",".join(TRIAL_LOG_HEADER) + "\n")
     for start in range(0, len(log), _BLOCK):
-        a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._columns)
+        a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._values())
         code = 8 * (a_set - 1) + 4 * (b_set - 1) + 2 * (a_out < 0) + (b_out < 0)
         high = np.frombuffer(str(start // _BLOCK).encode() if start else b"", np.uint8)
         rows = np.hstack([

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .linalg import ComplexMatrix
+from .linalg import ComplexMatrix, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -14,8 +13,7 @@ if TYPE_CHECKING:
 NORM_INPUT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class UnitVector3:
+class UnitVector3(Record):
     """Real 3-vector of unit norm, i.e. a measurement direction.
 
     The input norm must be within 1e-9 of 1 (enough slack for accumulated
@@ -23,17 +21,15 @@ class UnitVector3:
     exactly, anything further off is rejected.
     """
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+    def __init__(self, x: float, y: float, z: float) -> None:
+        norm = math.sqrt(x * x + y * y + z * z)
         if not abs(norm - 1.0) <= NORM_INPUT_TOL:
-            raise ValueError(f"direction ({self.x}, {self.y}, {self.z}) has norm {norm!r}, not 1")
-        object.__setattr__(self, "x", self.x / norm)
-        object.__setattr__(self, "y", self.y / norm)
-        object.__setattr__(self, "z", self.z / norm)
+            raise ValueError(f"direction ({x}, {y}, {z}) has norm {norm!r}, not 1")
+        object.__setattr__(self, "x", x / norm)
+        object.__setattr__(self, "y", y / norm)
+        object.__setattr__(self, "z", z / norm)
 
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .linalg import HERMITICITY_TOL, ComplexMatrix, hermiticity_defect
+from .linalg import HERMITICITY_TOL, ComplexMatrix, Record, hermiticity_defect
 
 if TYPE_CHECKING:
     import numpy as np
@@ -19,17 +18,19 @@ VISIBILITY_MAX = 1.0
 _VISIBILITY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class StateDiagnostics:
+class StateDiagnostics(Record):
     """How far a candidate 4x4 matrix is from being a valid density matrix.
 
     ``min_eigenvalue`` is computed on the Hermitian part so the report stays
     meaningful even when the hermiticity check itself fails.
     """
 
-    hermiticity_error: float
-    trace_error: float
-    min_eigenvalue: float
+    __slots__ = ("hermiticity_error", "trace_error", "min_eigenvalue")
+
+    def __init__(self, hermiticity_error: float, trace_error: float, min_eigenvalue: float) -> None:
+        object.__setattr__(self, "hermiticity_error", hermiticity_error)
+        object.__setattr__(self, "trace_error", trace_error)
+        object.__setattr__(self, "min_eigenvalue", min_eigenvalue)
 
     @property
     def hermitian_ok(self) -> bool:
@@ -65,17 +66,19 @@ def _diagnose(m: np.ndarray) -> StateDiagnostics:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Validated two-qubit state: Hermitian, unit trace, positive semidefinite.
 
     ``matrix`` is a read-only complex128 copy of the 4x4 array-like given.
+    States compare and hash by identity.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", ComplexMatrix(self.matrix))
+    def __init__(self, matrix) -> None:
+        object.__setattr__(self, "matrix", ComplexMatrix(matrix))
         diag = _diagnose(self.matrix)
         if not diag.is_valid:
             raise ValueError(
@@ -86,13 +89,12 @@ class DensityMatrix:
             )
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class WernerState(DensityMatrix):
     """``p * singlet + (1-p)/4 * identity``, valid by construction: for ``p`` in
     ``[-1/3, 1]`` (checked) the spectrum ``{(1+3p)/4, (1-p)/4 x3}`` is nonnegative.
     ``matrix`` is built from :func:`werner_matrix` on first use."""
 
-    p: float
+    __slots__ = ("p", "__dict__")  # the __dict__ holds the cached matrix
 
     def __init__(self, p: float) -> None:
         if not (VISIBILITY_MIN - _VISIBILITY_SLACK <= p <= VISIBILITY_MAX + _VISIBILITY_SLACK):
@@ -103,6 +105,9 @@ class WernerState(DensityMatrix):
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         return ComplexMatrix(werner_matrix(self.p))
+
+    def __repr__(self) -> str:
+        return f"WernerState(p={self.p!r})"
 
 
 _SINGLET_ENTRIES = ((0.0,) * 4, (0.0, 0.5, -0.5, 0.0), (0.0, -0.5, 0.5, 0.0), (0.0,) * 4)

@@ -23,13 +23,22 @@ def _fresh(code: str) -> str:
     ).stdout
 
 
+#: Top-level modules that neither ``import bellsim`` nor an exact command loads: numpy is
+#: imported on call, and dataclasses, with the inspect, ast and dis it imports, not at all.
+NUMPY_FREE = ("numpy", "dataclasses", "inspect")
+
+
+def _loaded(modules) -> str:
+    """Code that prints, as JSON, which of ``modules`` (top-level names) the process has loaded."""
+    return f"print(json.dumps(sorted({{m.split('.')[0] for m in sys.modules}} & {set(modules)!r})))"
+
+
 def test_cli_import_loads_no_scipy():
-    code = "import sys, bellsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _fresh(code).strip() == "[]"
+    assert json.loads(_fresh("import json, sys, bellsim.cli\n" + _loaded(("scipy",) + NUMPY_FREE))) == []
 
 
 def test_package_import_loads_no_numpy():
-    assert _fresh("import sys, bellsim; print('numpy' in sys.modules)").strip() == "False"
+    assert json.loads(_fresh("import json, sys, bellsim\n" + _loaded(NUMPY_FREE))) == []
 
 
 #: (argv, exit code): the exact chsh and lhv commands, optimize and werner-sweep on
@@ -53,10 +62,16 @@ PLAIN_RUNS = [
 ]
 
 
-@pytest.mark.parametrize(("argv", "code"), PLAIN_RUNS, ids=[" ".join(argv) for argv, _ in PLAIN_RUNS])
-def test_exact_commands_and_input_errors_load_no_numpy(argv, code):
+#: (argv, exit code, modules it must not load): the PLAIN_RUNS load none of NUMPY_FREE, and a
+#: sampled command, which needs numpy and so inspect, still loads no dataclasses.
+RUNS = [(argv, code, NUMPY_FREE) for argv, code in PLAIN_RUNS]
+RUNS.append((["sample", "--preset", "optimal", "--trials", "10"], 0, ("dataclasses",)))
+
+
+@pytest.mark.parametrize(("argv", "code", "absent"), RUNS, ids=[" ".join(argv) for argv, _, _ in RUNS])
+def test_exact_commands_and_input_errors_load_no_numpy(argv, code, absent):
     script = ("import contextlib, io, json, sys\nfrom bellsim.cli import main\n"
               f"with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
               f"    rc = main({argv!r})\n"
-              "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')]))")
-    assert json.loads(_fresh(script)) == [code, []]
+              f"print(rc)\n{_loaded(absent)}")
+    assert _fresh(script).splitlines() == [str(code), "[]"]
