@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Iterable
 
 from .linalg import Record
 from .observables import UnitVector3, X_AXIS, Z_AXIS, from_polar
 from .states import DensityMatrix, WernerState, make_werner
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
+    from typing import Iterable
+
     import numpy as np
 
 Tensor = tuple[tuple[float, float, float], ...]  # a 3x3 real matrix as three rows

@@ -10,12 +10,14 @@ locality is structural.
 from __future__ import annotations
 
 import math
-from typing import IO, TYPE_CHECKING, Sequence
 
 from .chsh import CorrelatorTable, chsh_value
 from .linalg import Record
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
+    from typing import IO, Sequence
+
     import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
@@ -84,11 +86,12 @@ def classical_bound_exhaustive() -> float:
     return max(abs(s) for s in deterministic_chsh_values())
 
 
-#: Largest trial count the samplers accept. Every trial stays in memory, and
-#: a CLI run peaked at about 20 bytes per trial above the 35 MB of ``sample``
-#: at one trial, numpy loaded (235 MB for 1e7 trials of ``sample``, 207 MB for
-#: ``lhv --preset uniform16``), so the largest run needs about 2 GB. Larger
-#: counts are refused before any draw.
+#: Largest trial count the samplers accept. Every trial stays in memory. At
+#: 1e7 trials a CLI process peaked at 235 MB for ``sample``, with or without
+#: ``--trial-log``, and 178 MB for ``lhv --preset uniform16``, against 35 MB
+#: at one trial with numpy loaded (child RSS, spawned from a launcher that
+#: imports nothing else): about 20 and 14 bytes per trial, so the largest run
+#: needs about 2 GB. Larger counts are refused before any draw.
 MAX_TRIALS = 10**8
 
 
@@ -180,21 +183,35 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
 
     Per trial a fresh pattern is drawn from the model's weights and the two
     setting indices are drawn uniformly, independently of it and of each
-    other. The stream contract for a given seed is: one PCG64 generator
-    (numpy ``default_rng``), consumed in the order pattern indices, A settings,
-    B settings, each as one vectorized draw. ``n_trials`` must lie in
+    other. The stream contract for a given seed is one PCG64 generator
+    (numpy ``default_rng``) and three vectorized draws, in this order:
+
+    - the pattern indices, ``rng.choice(16, size=n_trials, p=weights)``;
+    - the A settings, ``rng.integers(1, 3, size=n_trials)``;
+    - the B settings, likewise.
+
+    The first is computed as numpy documents ``choice``: ``cdf =
+    weights.cumsum(); cdf /= cdf[-1]``, and each index counts the ``cdf``
+    entries at or below its ``rng.random()`` draw. ``n_trials`` must lie in
     ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
     :class:`TrialLog`.
     """
     import numpy as np
     _check_trials(n_trials)
     rng = np.random.default_rng(seed)
-    lam = rng.choice(16, size=n_trials, p=np.array(m.weights))
+    cdf = np.array(m.weights).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n_trials)
+    lam = np.zeros(n_trials, dtype=np.int8)
+    for c in cdf:  # searchsorted(side="right") of a non-decreasing cdf, in 16 passes
+        lam += c <= u
+    del u  # 8 B per trial, freed before the settings are drawn
     a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
     b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
-    resp = np.array(RESPONSE_PATTERNS, dtype=np.int8)
-    a_out, b_out = resp[lam, a_set - 1], resp[lam, b_set + 1]
-    del lam  # 8 B per trial, which the estimate would hold on to
+    # Bits 3..0 of a pattern index are the signs of A1, A2, B1, B2 (RESPONSE_PATTERNS).
+    a_out = 1 - 2 * ((lam >> (4 - a_set)) & 1)
+    b_out = 1 - 2 * ((lam >> (2 - b_set)) & 1)
+    del lam  # 1 B per trial, which the estimate would hold on to
     log = TrialLog(a_set, b_set, a_out, b_out)
     return estimate_from_records(log), log
 
@@ -206,11 +223,18 @@ def sample_quantum_experiment(
 
     This is the unique pair law with the given correlators and unbiased
     single-party outcomes, so it applies to states whose one-party
-    expectations vanish (singlet and Werner states qualify). Stream contract
-    per seed (PCG64, vectorized draws in order): A settings, B settings,
-    A outcomes, correlation coin. ``n_trials`` must lie in
-    ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
-    :class:`TrialLog`.
+    expectations vanish (singlet and Werner states qualify). The stream
+    contract for a given seed is one PCG64 generator (numpy ``default_rng``)
+    and four vectorized draws, in this order:
+
+    - the A settings, ``rng.integers(1, 3, size=n_trials)``;
+    - the B settings, likewise;
+    - A's outcomes, ``2 * rng.integers(0, 2, size=n_trials) - 1``;
+    - the correlation coin ``rng.random(n_trials) < (1 + e_jk)/2``; where
+      it is true, B's outcome equals A's, otherwise it is the opposite.
+
+    ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the estimate and
+    the trials as a :class:`TrialLog`.
     """
     import numpy as np
     _check_trials(n_trials)
@@ -218,8 +242,9 @@ def sample_quantum_experiment(
     a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
     b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
     a_out = 2 * rng.integers(0, 2, size=n_trials).astype(np.int8) - 1
-    p_same = (1.0 + np.array([[e_table.e11, e_table.e12], [e_table.e21, e_table.e22]])) / 2.0
-    same = rng.random(n_trials) < p_same[a_set - 1, b_set - 1]
+    p_same = (1.0 + np.array([e_table.e11, e_table.e12, e_table.e21, e_table.e22])) / 2.0
+    # Indexing, not take: take converts the int8 pair index to intp, 8 B more per trial.
+    same = rng.random(n_trials) < p_same[2 * a_set + b_set - 3]
     log = TrialLog(a_set, b_set, a_out, np.where(same, a_out, -a_out))
     return estimate_from_records(log), log
 
@@ -232,28 +257,28 @@ _BLOCK = 10**4
 def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
     """Write trials as CSV: a header, then one row per trial numbered from 0.
 
-    The rows are formatted in blocks of 10^4 trials as byte arrays with NUL
-    padding, then the NULs are dropped. In the block starting at trial
-    ``h * 10^4`` every index is ``str(h)`` followed by the four digits of the
-    low part, zero-padded unless ``h`` is 0, where the leading zeros are
-    blanked to NUL instead.
+    The rows are formatted in blocks of 10^4 trials as NUL-padded records of
+    three byte-string fields, then the NULs are dropped. In the block
+    starting at trial ``h * 10^4`` every index is ``str(h)`` followed by the
+    four digits of the low part, zero-padded unless ``h`` is 0, where the
+    leading zeros are blanked to NUL instead.
     """
     import numpy as np
     # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 8*(j-1) + 4*(k-1) + 2*(x<0) + (y<0).
     tails = [f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)]
-    row_tails = np.array(tails, dtype="S11").view(np.uint8).reshape(16, 11)
+    row_tails = np.array(tails, dtype="S11")
     low = np.arange(_BLOCK)[:, None]
     place = np.array([1000, 100, 10, 1])
     padded = (low // place % 10 + ord("0")).astype(np.uint8)
     unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
+    padded, unpadded = padded.view("S4")[:, 0], unpadded.view("S4")[:, 0]
     stream.write(",".join(TRIAL_LOG_HEADER) + "\n")
     for start in range(0, len(log), _BLOCK):
         a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._values())
         code = 8 * (a_set - 1) + 4 * (b_set - 1) + 2 * (a_out < 0) + (b_out < 0)
-        high = np.frombuffer(str(start // _BLOCK).encode() if start else b"", np.uint8)
-        rows = np.hstack([
-            np.broadcast_to(high, (len(code), len(high))),
-            (padded if start else unpadded)[:len(code)],
-            row_tails[code],
-        ])
-        stream.write(rows[rows != 0].tobytes().decode("ascii"))
+        high = str(start // _BLOCK).encode() if start else b""
+        rows = np.empty(len(code), dtype=[("high", f"S{len(high) or 1}"), ("low", "S4"), ("tail", "S11")])
+        rows["high"] = high
+        rows["low"] = (padded if start else unpadded)[:len(code)]
+        rows["tail"] = row_tails.take(code)
+        stream.write(rows.tobytes().translate(None, b"\0").decode("ascii"))

@@ -1,8 +1,7 @@
 """Checks on the 2x2 and 4x4 complex matrices of two-qubit work, and the
 immutable base class of bellsim's record types."""
 
-from typing import TYPE_CHECKING
-
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     import numpy as np
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .linalg import ComplexMatrix, Record
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     import numpy as np
 

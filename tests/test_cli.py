@@ -1,6 +1,6 @@
 import json
 import math
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import jsonschema
 import numpy as np
@@ -327,6 +327,20 @@ def test_out_file_receives_machine_report(capsys, tmp_path):
     report = json.loads(out_path.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
     assert "S" in out  # human summary moved to stdout
+
+
+@pytest.mark.parametrize("text", ["", ".", "/", "//", "///", "t.csv", "./t.csv", "a//./b/", ".//a/..//b",
+                                  "//a/b", "///a/./", "a/.b/..c/"])
+def test_path_options_are_spelt_as_pathlib_spells_them(text):
+    assert cli._path(text) == str(PurePosixPath(text))
+
+
+def test_trial_log_path_is_recorded_in_pathlib_spelling(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "logs").mkdir()
+    report = run_json(capsys, "sample", "--preset", "optimal", "--trials", "5", "--trial-log", ".//logs/./t.csv")
+    assert report["diagnostics"]["trial_log"] == "logs/t.csv"
+    assert (tmp_path / "logs" / "t.csv").read_text().count("\n") == 6
 
 
 def test_csv_keyvalue_format(capsys):

@@ -75,3 +75,16 @@ def test_exact_commands_and_input_errors_load_no_numpy(argv, code, absent):
               f"    rc = main({argv!r})\n"
               f"print(rc)\n{_loaded(absent)}")
     assert _fresh(script).splitlines() == [str(code), "[]"]
+
+
+def test_cli_import_loads_no_typing_or_pathlib():
+    """Under ``-S`` no ``site`` hook preloads them, so this is bellsim's own import path."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import json, sys, bellsim.cli\n" + _loaded(("typing", "pathlib"))],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert json.loads(out) == []
