@@ -4,62 +4,53 @@ Exact Born-rule correlators for the singlet and Werner states, maximization
 of the CHSH functional up to 2*sqrt(2), the Werner visibility threshold at
 1/sqrt(2), and a local hidden-variable engine certifying |S| <= 2, with
 seeded finite-statistics experiment simulation on both sides.
+
+Every public name below, and every submodule, is imported on first access,
+so ``import bellsim`` loads no submodule and a command compiles only the
+modules it runs.
 """
 
-from .chsh import (
-    CLASSICAL_BOUND,
-    ChshResult,
-    CorrelatorTable,
-    InternalConsistencyError,
-    MeasurementSettings,
-    TSIRELSON_BOUND,
-    aligned_settings,
-    born_expectation,
-    chsh_quantum,
-    chsh_value,
-    correlation_tensor,
-    correlator_table,
-    horodecki_max_s,
-    optimize_settings,
-    optimize_settings_traced,
-    quantum_correlator,
-    settings_from_polar,
-    singlet_correlator_analytic,
-    singlet_optimal_settings,
-    tsirelson_check,
-    werner_threshold,
-)
-from .lhv import (
-    EstimatedTable,
-    LhvModel,
-    MAX_TRIALS,
-    RESPONSE_PATTERNS,
-    TrialLog,
-    classical_bound_exhaustive,
-    deterministic_chsh_values,
-    estimate_from_records,
-    lhv_correlators_exact,
-    sample_lhv_experiment,
-    sample_quantum_experiment,
-    write_trial_log,
-)
-from .linalg import ComplexMatrix, min_eigenvalue_hermitian
-from .observables import (
-    UnitVector3,
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    from_polar,
-    spin_observable,
-    to_polar,
-)
-from .states import (
-    DensityMatrix,
-    StateDiagnostics,
-    make_singlet,
-    make_werner,
-    validate,
-    werner_matrix,
-)
+import sys
 
 __version__ = "0.1.0"
+
+#: The public names of each submodule.
+_PUBLIC = {
+    "chsh": (
+        "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "InternalConsistencyError",
+        "MAX_TRIALS", "MeasurementSettings", "TSIRELSON_BOUND", "aligned_settings",
+        "born_expectation", "chsh_quantum", "chsh_value", "correlation_tensor", "correlator_table",
+        "horodecki_max_s", "optimize_settings", "optimize_settings_traced", "quantum_correlator",
+        "settings_from_polar", "singlet_correlator_analytic", "singlet_optimal_settings",
+        "tsirelson_check", "werner_threshold",
+    ),
+    "lhv": (
+        "EstimatedTable", "LhvModel", "RESPONSE_PATTERNS", "TrialLog", "classical_bound_exhaustive",
+        "deterministic_chsh_values", "estimate_from_records", "lhv_correlators_exact",
+        "sample_lhv_experiment", "sample_quantum_experiment", "write_trial_log",
+    ),
+    "linalg": ("ComplexMatrix", "min_eigenvalue_hermitian"),
+    "observables": ("UnitVector3", "X_AXIS", "Y_AXIS", "Z_AXIS", "from_polar", "spin_observable", "to_polar"),
+    "states": ("DensityMatrix", "StateDiagnostics", "make_singlet", "make_werner", "validate", "werner_matrix"),
+}
+
+#: Each public name, and each submodule under its own name, to the submodule that defines it.
+_EXPORTS = {name: module for module, names in _PUBLIC.items() for name in (module, *names)}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and bind the name here."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    qualified = f"{__name__}.{_EXPORTS[name]}"
+    __import__(qualified)
+    module = sys.modules[qualified]
+    value = module if name == _EXPORTS[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

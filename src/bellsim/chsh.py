@@ -202,6 +202,16 @@ def tsirelson_check(results: Iterable[ChshResult]) -> bool:
 MAX_SWEEP_POINTS = 10_000
 THRESHOLD_TOL = 1e-6
 
+#: Largest trial count the samplers of :mod:`bellsim.lhv` accept. It is defined
+#: here, in a module every command loads, so the CLI bounds ``--trials``
+#: without importing the samplers. Every trial stays in memory. At 1e7 trials
+#: a CLI process peaked at 235 MB for ``sample``, with or without
+#: ``--trial-log``, and 178 MB for ``lhv --preset uniform16``, against 35 MB
+#: at one trial with numpy loaded (child RSS, spawned from a launcher that
+#: imports nothing else): about 20 and 14 bytes per trial, so the largest run
+#: needs about 2 GB. Larger counts are refused before any draw.
+MAX_TRIALS = 10**8
+
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 

@@ -10,6 +10,7 @@ import sys
 
 from .chsh import (
     MAX_SWEEP_POINTS,
+    MAX_TRIALS,
     THRESHOLD_TOL,
     ChshResult,
     InternalConsistencyError,
@@ -22,19 +23,11 @@ from .chsh import (
     singlet_optimal_settings,
     werner_threshold,
 )
-from .lhv import (
-    MAX_TRIALS,
-    LhvModel,
-    classical_bound_exhaustive,
-    deterministic_chsh_values,
-    lhv_correlators_exact,
-    PATTERN_LABELS,
-    sample_lhv_experiment,
-    sample_quantum_experiment,
-    write_trial_log,
-)
 from .observables import UnitVector3, to_polar
 from .states import VISIBILITY_MAX, VISIBILITY_MIN, DensityMatrix, make_singlet, make_werner
+
+# .lhv is imported inside the lhv and sample commands, after their option checks, so
+# the other commands and those checks never load it.
 
 #: Shape of every machine-readable JSON report.
 REPORT_SCHEMA = {
@@ -390,9 +383,18 @@ def _run_lhv(cfg: argparse.Namespace):
         raise ValueError("give exactly one of --exhaustive, --preset, or --weights")
     if cfg.trial_log is not None and cfg.trials is None:
         raise ValueError("--trial-log needs --trials")
+    if cfg.exhaustive and cfg.trials is not None:
+        raise ValueError("--exhaustive does not take --trials")
+    from .lhv import (
+        PATTERN_LABELS,
+        LhvModel,
+        classical_bound_exhaustive,
+        deterministic_chsh_values,
+        lhv_correlators_exact,
+        sample_lhv_experiment,
+    )
+
     if cfg.exhaustive:
-        if cfg.trials is not None:
-            raise ValueError("--exhaustive does not take --trials")
         values = deterministic_chsh_values()
         bound = classical_bound_exhaustive()
         report = {
@@ -455,6 +457,8 @@ def _run_sample(cfg: argparse.Namespace):
         raise ValueError("sample requires --trials")
     rho = parse_state_spec(cfg.state)
     settings = _resolve_settings(cfg)
+    from .lhv import sample_quantum_experiment
+
     exact = correlator_table(rho, settings)
     exact_s = chsh_value(exact)
     estimate, log = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
@@ -489,6 +493,8 @@ def _run_sample(cfg: argparse.Namespace):
 def _write_log_if_requested(cfg: argparse.Namespace, log) -> str | None:
     if cfg.trial_log is None:
         return None
+    from .lhv import write_trial_log
+
     with open(cfg.trial_log, "w", encoding="ascii") as stream:
         write_trial_log(log, stream)
     return cfg.trial_log
@@ -604,16 +610,18 @@ def run() -> None:
     it. So the standard streams are flushed and ``os._exit`` ends the process.
     This is sound only because every file a command writes (``--out``,
     ``--trial-log``) is closed before :func:`main` returns. A stream closed
-    at start-up is ``None`` and skipped; if a flush fails, ``sys.exit`` lets
-    the interpreter report it as before.
+    at start-up is ``None`` and skipped. A flush that fails, such as stdout
+    to a pipe whose reader has gone, is reported as :func:`main` reports a
+    failed write: one ``error:`` line and exit code 2.
     """
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except OSError:
-        sys.exit(code)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
     os._exit(code)
 
 

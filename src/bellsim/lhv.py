@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .chsh import CorrelatorTable, chsh_value
+from .chsh import MAX_TRIALS, CorrelatorTable, chsh_value
 from .linalg import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
@@ -84,15 +84,6 @@ def classical_bound_exhaustive() -> float:
     the probability simplex sit at the deterministic vertices.
     """
     return max(abs(s) for s in deterministic_chsh_values())
-
-
-#: Largest trial count the samplers accept. Every trial stays in memory. At
-#: 1e7 trials a CLI process peaked at 235 MB for ``sample``, with or without
-#: ``--trial-log``, and 178 MB for ``lhv --preset uniform16``, against 35 MB
-#: at one trial with numpy loaded (child RSS, spawned from a launcher that
-#: imports nothing else): about 20 and 14 bytes per trial, so the largest run
-#: needs about 2 GB. Larger counts are refused before any draw.
-MAX_TRIALS = 10**8
 
 
 def _all_in(column: np.ndarray, allowed: tuple[int, int]) -> bool:

@@ -90,8 +90,7 @@ def test_stdout_pipe_without_reader_exits_two(tmp_path):
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
-def test_broken_pipe_at_the_final_flush_is_reported_by_the_interpreter(tmp_path):
-    """Lines that fit the buffer fail only in run()'s flush, which falls back to sys.exit."""
+def test_broken_pipe_at_the_final_flush_exits_two(tmp_path):
+    """Lines that fit the buffer fail only in run()'s flush, which reports them as main() would."""
     proc = _without_reader(["chsh", "--preset", "optimal", "--out", "r.json"], tmp_path)
-    assert proc.returncode == 120
-    assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")

@@ -218,13 +218,37 @@ def test_diagonal_svd_matches_lapack_on_werner_panel():
         assert abs(trace_info.optimality_gap) <= GAP_TOL, p
 
 
+def _jacobi_eigenvalues(m: list[list[float]]) -> list[float]:
+    """The eigenvalues of a symmetric 3x3 matrix, ascending, by cyclic Jacobi rotations in plain Python.
+
+    Each rotation in the (p, q) plane zeroes the (p, q) entry (Numerical Recipes, section 11.1); ten
+    sweeps of the three planes leave the off-diagonal far below rounding, as convergence is quadratic.
+    """
+    a = [list(row) for row in m]
+    for _ in range(10):
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            if a[p][q] == 0.0:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            for row in a:  # columns p and q of A J
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],  # rows p and q of J^T A J
+                          [s * x + c * y for x, y in zip(a[p], a[q])])
+            a[p][q] = a[q][p] = 0.0
+    return sorted(a[i][i] for i in range(3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["pure", "ginibre"]), state_seed=SEEDS)
 def test_horodecki_max_s_matches_an_oracle_without_svd(kind, state_seed):
     """s1^2 + s2^2 = |T|_F^2 - lambda_min(T^T T): the singular values squared are the eigenvalues of T^T T."""
     rho = _state(kind, state_seed)
-    t_mat = np.array(correlation_tensor(rho))
-    want = float(np.sum(t_mat**2)) - float(np.linalg.eigvalsh(t_mat.T @ t_mat)[0])
+    t_mat = correlation_tensor(rho)
+    gram = [[math.fsum(row[i] * row[j] for row in t_mat) for j in range(3)] for i in range(3)]
+    want = math.fsum(x * x for row in t_mat for x in row) - _jacobi_eigenvalues(gram)[0]
     assert abs(horodecki_max_s(rho) ** 2 / 4.0 - want) <= 1e-12 * want
 
 
