@@ -174,16 +174,6 @@ def aligned_settings() -> MeasurementSettings:
     return MeasurementSettings(Z_AXIS, Z_AXIS, Z_AXIS, Z_AXIS)
 
 
-def tsirelson_check(results: Iterable[ChshResult]) -> bool:
-    """True iff every |S| stays at or below 2*sqrt(2) + 1e-8.
-
-    Admissible inputs are results of Born-rule evaluation on valid density
-    matrices; tables fabricated by hand (e.g. all-ones) are outside the
-    contract and can of course exceed the bound.
-    """
-    return all(r.within_tsirelson for r in results)
-
-
 # --- settings search -------------------------------------------------------
 #
 # For any two-qubit state the correlator is bilinear in the directions:
@@ -300,9 +290,9 @@ def optimize_settings_traced(rho: DensityMatrix, *, seed: int = 0) -> tuple[Chsh
     return result, trace_info
 
 
-def optimize_settings(rho: DensityMatrix, **kwargs) -> ChshResult:
+def optimize_settings(rho: DensityMatrix) -> ChshResult:
     """Maximize |S| over measurement directions; see :func:`optimize_settings_traced`."""
-    return optimize_settings_traced(rho, **kwargs)[0]
+    return optimize_settings_traced(rho)[0]
 
 
 def werner_threshold() -> float:

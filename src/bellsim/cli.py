@@ -150,10 +150,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse the command line; the lines of a --config file come before its flags."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    rest = argv[argv.index(args.command) + 1:]
-    return parser.parse_args([args.command, *_parse_config_file(args.config, args), *rest])
+    if args.config is not None:
+        rest = argv[argv.index(args.command) + 1:]
+        args = parser.parse_args([args.command, *_parse_config_file(args.config, args), *rest])
+    # The report would overwrite the trial log, so one file for both is refused before any work.
+    log = getattr(args, "trial_log", None)
+    if log and args.out and os.path.realpath(log) == os.path.realpath(args.out):
+        raise ValueError(f"--out {args.out} and --trial-log {log} name the same file")
+    return args
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -190,17 +194,6 @@ def _fmt9(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _sanitize(obj):
-    """Make a report strictly JSON-serializable; non-finite floats become null."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
 def _csv_scalar(value) -> str:
     if value is None:
         return ""
@@ -211,30 +204,21 @@ def _csv_scalar(value) -> str:
     return str(value)
 
 
-def _flatten(obj, prefix: str = ""):
+def _flatten(obj, key: str) -> list[str]:
+    """The ``key,value`` lines of ``obj``: nested keys joined by dots, list items indexed in brackets."""
     if isinstance(obj, dict):
-        rows = []
-        for k, v in obj.items():
-            rows.extend(_flatten(v, f"{prefix}.{k}" if prefix else str(k)))
-        return rows
-    if isinstance(obj, (list, tuple)):
-        rows = []
-        for i, v in enumerate(obj):
-            rows.extend(_flatten(v, f"{prefix}[{i}]"))
-        return rows
-    return [(prefix, _csv_scalar(obj))]
-
-
-def _csv_keyvalue(report: dict) -> str:
-    lines = ["key,value"]
-    lines.extend(f"{k},{v}" for k, v in _flatten(_sanitize(report)))
-    return "\n".join(lines) + "\n"
+        items = [(f"{key}.{k}" if key else k, v) for k, v in obj.items()]
+    elif isinstance(obj, list):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return [f"{key},{_csv_scalar(obj)}"]
+    return [line for k, v in items for line in _flatten(v, k)]
 
 
 def _machine_text(cfg: argparse.Namespace, report: dict, csv_text: str | None) -> str:
     if cfg.format == "json":
-        return json.dumps(_sanitize(report), indent=2, allow_nan=False) + "\n"
-    return csv_text if csv_text is not None else _csv_keyvalue(report)
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    return csv_text or "\n".join(["key,value", *_flatten(report, "")]) + "\n"
 
 
 def _direction_dict(v: UnitVector3) -> dict:
@@ -243,21 +227,18 @@ def _direction_dict(v: UnitVector3) -> dict:
 
 
 def _settings_dict(s: MeasurementSettings) -> dict:
-    return {
-        "a1": _direction_dict(s.a1),
-        "a2": _direction_dict(s.a2),
-        "b1": _direction_dict(s.b1),
-        "b2": _direction_dict(s.b2),
-    }
+    return {name: _direction_dict(getattr(s, name)) for name in s.__slots__}
 
 
 def _estimate_dict(estimate) -> dict:
+    """The estimate's fields; the infinite standard error of a setting pair with no trials, and so of S, is null."""
+    errors = [se if se < math.inf else None for se in estimate.std_errors]
     return {
         "table": estimate.table.as_dict(),
         "counts": list(estimate.counts),
-        "std_errors": list(estimate.std_errors),
+        "std_errors": errors,
         "s_estimate": estimate.s_estimate,
-        "s_std_error": estimate.s_std_error,
+        "s_std_error": None if None in errors else estimate.s_std_error,
     }
 
 
@@ -282,19 +263,20 @@ def _bound_lines(result: ChshResult) -> list[str]:
 # --- commands -----------------------------------------------------------------
 
 
-def _run_chsh(cfg: argparse.Namespace):
+def _exact_table(cfg: argparse.Namespace):
+    """The exact correlator table of ``chsh`` and ``sample``, its settings, and the inputs both report."""
     rho = parse_state_spec(cfg.state)
     settings = _resolve_settings(cfg)
-    table = correlator_table(rho, settings)
+    inputs = {"state": cfg.state, "preset": cfg.preset, "settings": _settings_dict(settings)}
+    return correlator_table(rho, settings), settings, inputs
+
+
+def _run_chsh(cfg: argparse.Namespace):
+    table, settings, inputs = _exact_table(cfg)
     result = ChshResult(chsh_value(table), settings)
     report = {
         "command": "chsh",
-        "inputs": {
-            "state": cfg.state,
-            "preset": cfg.preset,
-            "settings": _settings_dict(settings),
-            "seed": cfg.seed,
-        },
+        "inputs": {**inputs, "seed": cfg.seed},
         "results": {"correlators": table.as_dict(), **_result_dict(result)},
         "diagnostics": {},
     }
@@ -305,15 +287,15 @@ def _run_chsh(cfg: argparse.Namespace):
 
 
 def _run_optimize(cfg: argparse.Namespace):
-    rho = parse_state_spec(cfg.state)
-    result, trace_info = optimize_settings_traced(rho)
+    result, trace_info = optimize_settings_traced(parse_state_spec(cfg.state))
+    settings = _settings_dict(result.settings)
     report = {
         "command": "optimize",
         "inputs": {
             "state": cfg.state,
             "seed": cfg.seed,
         },
-        "results": {**_result_dict(result), "settings": _settings_dict(result.settings)},
+        "results": {**_result_dict(result), "settings": settings},
         "diagnostics": {
             "singular_values": list(trace_info.singular_values),
             "optimality_gap": trace_info.optimality_gap,
@@ -321,10 +303,7 @@ def _run_optimize(cfg: argparse.Namespace):
     }
     human = [f"optimize  state={cfg.state}"]
     human.extend(_bound_lines(result))
-    for name, v in (("a1", result.settings.a1), ("a2", result.settings.a2),
-                    ("b1", result.settings.b1), ("b2", result.settings.b2)):
-        theta, phi = to_polar(v)
-        human.append(f"{name}: theta = {_fmt9(theta)}, phi = {_fmt9(phi)}")
+    human.extend(f"{name}: theta = {_fmt9(d['theta'])}, phi = {_fmt9(d['phi'])}" for name, d in settings.items())
     human.append(
         "singular values of T: " + " ".join(_fmt9(v) for v in trace_info.singular_values)
         + f"; gap to the Horodecki maximum {trace_info.optimality_gap:.3g}"
@@ -335,20 +314,15 @@ def _run_optimize(cfg: argparse.Namespace):
 def _run_werner_sweep(cfg: argparse.Namespace):
     if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
         raise ValueError(f"sweep range needs -1/3 <= p_min < p_max <= 1, got p_min={cfg.p_min}, p_max={cfg.p_max}")
-    gaps = []
-
-    def optimized_row(p: float) -> dict:
-        result, trace_info = optimize_settings_traced(make_werner(p))
-        gaps.append(trace_info.optimality_gap)
-        return {"p": p, "max_s": result.s_value, "violates": result.violates_classical}
-
     step = (cfg.p_max - cfg.p_min) / (cfg.points - 1)
-    # The last row is p_max itself: p_min + (points - 1) * step can round past it.
-    grid = [cfg.p_min + i * step for i in range(cfg.points - 1)] + [cfg.p_max]
-    rows = [optimized_row(p) for p in grid]
     threshold = werner_threshold()
-    threshold_row = optimized_row(threshold)
-    s_at_threshold = threshold_row["max_s"]
+    # The grid's last row is p_max itself: p_min + (points - 1) * step can round past it.
+    # The threshold row comes after it.
+    rows, gaps = [], []
+    for p in [cfg.p_min + i * step for i in range(cfg.points - 1)] + [cfg.p_max, threshold]:
+        result, trace_info = optimize_settings_traced(make_werner(p))
+        rows.append({"p": p, "max_s": result.s_value, "violates": result.violates_classical})
+        gaps.append(trace_info.optimality_gap)
     report = {
         "command": "werner-sweep",
         "inputs": {
@@ -357,22 +331,18 @@ def _run_werner_sweep(cfg: argparse.Namespace):
             "points": cfg.points,
             "seed": cfg.seed,
         },
-        "results": {"rows": rows, "threshold": threshold, "threshold_row": threshold_row},
+        "results": {"rows": rows[:-1], "threshold": threshold, "threshold_row": rows[-1]},
         "diagnostics": {
             "bisection_tol": THRESHOLD_TOL,
             "optimality_gap": gaps[:-1],
             "threshold_row_optimality_gap": gaps[-1],
         },
     }
-    csv_lines = ["p,max_s,violates"]
-    for row in rows + [threshold_row]:
-        csv_lines.append(
-            f"{row['p']!r},{row['max_s']!r},{_csv_scalar(row['violates'])}"
-        )
+    csv_lines = ["p,max_s,violates", *(f"{r['p']!r},{r['max_s']!r},{_csv_scalar(r['violates'])}" for r in rows)]
     human = [
         f"werner-sweep  {cfg.points} points on [{_fmt9(cfg.p_min)}, {_fmt9(cfg.p_max)}]",
-        f"threshold p* = {_fmt9(threshold)}  (max S there = {_fmt9(s_at_threshold)})",
-        f"max S at p = {_fmt9(rows[-1]['p'])}: {_fmt9(rows[-1]['max_s'])}",
+        f"threshold p* = {_fmt9(threshold)}  (max S there = {_fmt9(rows[-1]['max_s'])})",
+        f"max S at p = {_fmt9(rows[-2]['p'])}: {_fmt9(rows[-2]['max_s'])}",
     ]
     return report, human, "\n".join(csv_lines) + "\n"
 
@@ -455,23 +425,15 @@ def _run_lhv(cfg: argparse.Namespace):
 def _run_sample(cfg: argparse.Namespace):
     if cfg.trials is None:
         raise ValueError("sample requires --trials")
-    rho = parse_state_spec(cfg.state)
-    settings = _resolve_settings(cfg)
+    exact, _, inputs = _exact_table(cfg)
     from .lhv import sample_quantum_experiment
 
-    exact = correlator_table(rho, settings)
     exact_s = chsh_value(exact)
     estimate, log = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
     log_path = _write_log_if_requested(cfg, log)
     report = {
         "command": "sample",
-        "inputs": {
-            "state": cfg.state,
-            "preset": cfg.preset,
-            "settings": _settings_dict(settings),
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-        },
+        "inputs": {**inputs, "trials": cfg.trials, "seed": cfg.seed},
         "results": {
             "exact_table": exact.as_dict(),
             "exact_s": exact_s,
@@ -575,15 +537,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(machine_text: str, human_lines: list[str], out: str | None) -> None:
-    if out is not None:
+    """The report to ``out`` and the summary to stdout, or without ``out`` to stdout and stderr."""
+    if out is None:
+        sys.stdout.write(machine_text)
+    else:
         with open(out, "w") as stream:
             stream.write(machine_text)
-        for line in human_lines:
-            print(line)
-    else:
-        sys.stdout.write(machine_text)
-        for line in human_lines:
-            print(line, file=sys.stderr)
+    print(*human_lines, sep="\n", file=sys.stderr if out is None else sys.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -146,14 +146,19 @@ class EstimatedTable(Record):
         return math.sqrt(sum(se * se for se in self.std_errors))
 
 
+def _pair_index(a_setting, b_setting):
+    """The setting pair (j, k) as 2*(j-1) + (k-1), its place in the (11, 12, 21, 22) order of a table."""
+    return 2 * a_setting + b_setting - 3
+
+
 def estimate_from_records(log: TrialLog) -> EstimatedTable:
     """Estimate the correlator table from a non-empty :class:`TrialLog`."""
     import numpy as np
     if not len(log):
         raise ValueError("cannot estimate correlators from an empty trial log")
-    # One tally over 8 bins: the setting pair 2*(j-1) + (k-1), plus 4 when the outcomes agree.
+    # One tally over 8 bins: the setting pair, plus 4 when the outcomes agree.
     same = (log.a_outcome == log.b_outcome).view(np.int8)
-    tally = np.bincount(4 * same + 2 * (log.a_setting - 1) + (log.b_setting - 1), minlength=8).reshape(2, 4)
+    tally = np.bincount(4 * same + _pair_index(log.a_setting, log.b_setting), minlength=8).reshape(2, 4)
     counts = tuple(tally.sum(axis=0).tolist())
     entries, errors = [], []
     for n, n_same in zip(counts, tally[1].tolist()):
@@ -235,7 +240,7 @@ def sample_quantum_experiment(
     a_out = 2 * rng.integers(0, 2, size=n_trials).astype(np.int8) - 1
     p_same = (1.0 + np.array([e_table.e11, e_table.e12, e_table.e21, e_table.e22])) / 2.0
     # Indexing, not take: take converts the int8 pair index to intp, 8 B more per trial.
-    same = rng.random(n_trials) < p_same[2 * a_set + b_set - 3]
+    same = rng.random(n_trials) < p_same[_pair_index(a_set, b_set)]
     log = TrialLog(a_set, b_set, a_out, np.where(same, a_out, -a_out))
     return estimate_from_records(log), log
 
@@ -255,7 +260,7 @@ def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
     leading zeros are blanked to NUL instead.
     """
     import numpy as np
-    # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 8*(j-1) + 4*(k-1) + 2*(x<0) + (y<0).
+    # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 4 * pair index + 2*(x<0) + (y<0).
     tails = [f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)]
     row_tails = np.array(tails, dtype="S11")
     low = np.arange(_BLOCK)[:, None]
@@ -266,7 +271,7 @@ def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
     stream.write(",".join(TRIAL_LOG_HEADER) + "\n")
     for start in range(0, len(log), _BLOCK):
         a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._values())
-        code = 8 * (a_set - 1) + 4 * (b_set - 1) + 2 * (a_out < 0) + (b_out < 0)
+        code = 4 * _pair_index(a_set, b_set) + 2 * (a_out < 0) + (b_out < 0)
         high = str(start // _BLOCK).encode() if start else b""
         rows = np.empty(len(code), dtype=[("high", f"S{len(high) or 1}"), ("low", "S4"), ("tail", "S11")])
         rows["high"] = high

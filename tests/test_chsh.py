@@ -24,7 +24,6 @@ from bellsim.chsh import (
     quantum_correlator,
     singlet_correlator_analytic,
     singlet_optimal_settings,
-    tsirelson_check,
     werner_threshold,
 )
 from bellsim.linalg import ComplexMatrix
@@ -191,13 +190,8 @@ def test_tsirelson_ceiling_monte_carlo():
         rho = make_werner(rng.uniform(-1.0 / 3.0, 1.0))
         settings = MeasurementSettings(*(random_direction() for _ in range(4)))
         results.append(chsh_quantum(rho, settings))
-    assert tsirelson_check(results)
+    assert all(r.within_tsirelson for r in results)
     assert max(abs(r.s_value) for r in results) <= TSIRELSON_BOUND + 1e-8
-
-
-def test_tsirelson_check_flags_fabricated_value():
-    bad = ChshResult(3.2, singlet_optimal_settings())
-    assert not tsirelson_check([bad])
 
 
 # --- optimizer --------------------------------------------------------------------
@@ -211,10 +205,13 @@ def test_optimize_singlet_reaches_tsirelson():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_optimize_singlet_robust_across_seeds(seed):
-    # the search draws nothing at random: the seed keyword is accepted and changes nothing
-    result = optimize_settings(make_singlet(), seed=seed)
+    # the search draws nothing at random, and no settings drawn from the seed beat it
+    result = optimize_settings(make_singlet())
     assert result == optimize_settings(make_singlet())
     assert result.s_value >= TSIRELSON_BOUND - 1e-15
+    v = np.random.default_rng(seed).normal(size=(4, 3))
+    drawn = MeasurementSettings(*(UnitVector3(*row) for row in v / np.linalg.norm(v, axis=1, keepdims=True)))
+    assert abs(chsh_quantum(make_singlet(), drawn).s_value) <= result.s_value + 1e-12
 
 
 def test_optimize_white_noise_is_flat():
@@ -235,7 +232,7 @@ def test_optimize_negative_visibility():
 
 
 def test_optimize_reported_settings_reproduce_value():
-    result = optimize_settings(make_werner(0.9), seed=3)
+    result = optimize_settings(make_werner(0.9))
     replay = chsh_quantum(make_werner(0.9), result.settings)
     assert replay.s_value == pytest.approx(result.s_value, abs=1e-12)
 
@@ -247,20 +244,26 @@ def test_threshold_predicate_endpoints():
     assert low.s_value == pytest.approx(math.sqrt(2.0), abs=1e-5)
 
 
-def test_werner_threshold_matches_inverse_sqrt2():
+def test_werner_threshold_matches_inverse_sqrt2(monkeypatch):
+    probes = []
+
+    def counted(rho):
+        probes.append(rho.p)
+        return optimize_settings(rho)
+
+    monkeypatch.setattr("bellsim.chsh.optimize_settings", counted)
     threshold = werner_threshold()
     assert abs(threshold - 1.0 / math.sqrt(2.0)) <= 1e-4
     assert threshold == 0.7071070671081543  # the value of the earlier iterative search, bit for bit
+    # bisection of [0, 1] down to 1e-6 takes ceil(log2(1e6)) = 20 halvings
+    assert len(probes) == 20
+    assert probes[0] == 0.5
 
 
 def test_werner_threshold_takes_no_tolerance():
     # the width is the constant THRESHOLD_TOL: a NaN width would end the bisection at once, 0.0 never
     with pytest.raises(TypeError):
         werner_threshold(tol=float("nan"))
-
-
-def test_tsirelson_check_accepts_optimal_singlet():
-    assert tsirelson_check([chsh_quantum(make_singlet(), singlet_optimal_settings())])
 
 
 def test_horodecki_closed_form_examples():

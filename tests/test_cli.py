@@ -343,6 +343,30 @@ def test_trial_log_path_is_recorded_in_pathlib_spelling(capsys, tmp_path, monkey
     assert (tmp_path / "logs" / "t.csv").read_text().count("\n") == 6
 
 
+@pytest.mark.parametrize("command", [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_out_and_trial_log_naming_one_file_exit_two_before_drawing(capsys, tmp_path, monkeypatch, command,
+                                                                   via_config):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built although the report would overwrite the log")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.chdir(tmp_path)
+    if via_config:
+        # the relative and the absolute spelling of one file
+        Path("run.cfg").write_text(f"out = r.csv\ntrial_log = {tmp_path}/r.csv\n")
+        source = ["--config", "run.cfg"]
+    else:
+        source = ["--out", "r.csv", "--trial-log", "./r.csv"]
+    code, out, err = run_cli(capsys, *command, "--trials", "5", *source)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "name the same file" in err
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if via_config else [])
+
+
 def test_csv_keyvalue_format(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--state", "singlet", "--preset", "optimal",
                            "--format", "csv")
@@ -391,6 +415,16 @@ def test_config_rejects_non_integral_integers(capsys, tmp_path, line):
     code, _, err = run_cli(capsys, *CHEAP_COMMANDS[key], "--config", str(cfg))
     assert code == 2
     assert f"argument --{key}: expected an integer" in err
+
+
+@pytest.mark.parametrize("line, value", [('seed = ""', ""), ("seed = ''", ""), ('seed = "', '"')])
+def test_config_quotes_around_nothing_give_the_empty_value(capsys, tmp_path, line, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    by_file = run_cli(capsys, "chsh", "--preset", "optimal", "--config", str(cfg))
+    assert by_file[0] == 2
+    assert f"argument --seed: expected an integer, got {value!r}" in by_file[2]
+    assert run_cli(capsys, "chsh", "--preset", "optimal", f"--seed={value}") == by_file
 
 
 def test_config_accepts_integral_float(capsys, tmp_path):

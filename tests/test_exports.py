@@ -12,7 +12,7 @@ PUBLIC = {
         "MeasurementSettings", "TSIRELSON_BOUND", "aligned_settings", "born_expectation", "chsh_quantum",
         "chsh_value", "correlation_tensor", "correlator_table", "horodecki_max_s", "optimize_settings",
         "optimize_settings_traced", "quantum_correlator", "settings_from_polar", "singlet_correlator_analytic",
-        "singlet_optimal_settings", "tsirelson_check", "werner_threshold",
+        "singlet_optimal_settings", "werner_threshold",
     ],
     "lhv": [
         "EstimatedTable", "LhvModel", "RESPONSE_PATTERNS", "TrialLog", "classical_bound_exhaustive",

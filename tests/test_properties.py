@@ -24,7 +24,6 @@ from bellsim.chsh import (
     optimize_settings,
     optimize_settings_traced,
     quantum_correlator,
-    tsirelson_check,
 )
 from bellsim.lhv import RESPONSE_PATTERNS, LhvModel, lhv_correlators_exact
 from bellsim.observables import UnitVector3, X_AXIS, Y_AXIS, Z_AXIS, spin_observable
@@ -107,7 +106,6 @@ def test_quantum_chsh_within_tsirelson(kind, state_seed, settings_seed):
     result = chsh_quantum(_state(kind, state_seed), _random_settings(settings_seed))
     assert abs(result.s_value) <= TSIRELSON_BOUND + 1e-8
     assert result.within_tsirelson
-    assert tsirelson_check([result])
 
 
 SIMPLEX_POINTS = st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0.0)
@@ -167,9 +165,12 @@ def test_rank_one_tensor_classical_correlation(q):
 @pytest.mark.parametrize("p", [1.1140170223482763e-158, 1e-300, 5e-324])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_tiny_werner_visibility(p, seed):
-    """A T near the bottom of the float range still gives unit directions; the seed keyword changes nothing."""
+    """A T near the bottom of the float range still gives unit directions.
+
+    No settings drawn from the seed beat the ones found."""
     _assert_reaches_closed_form(make_werner(p))
-    assert optimize_settings(make_werner(p), seed=seed) == optimize_settings(make_werner(p))
+    result = optimize_settings(make_werner(p))
+    assert abs(chsh_quantum(make_werner(p), _random_settings(seed)).s_value) <= result.s_value * (1.0 + 1e-12)
 
 
 #: Werner visibilities: fixed uniform draws plus the ends of the range, signed zeros,

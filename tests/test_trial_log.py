@@ -99,11 +99,19 @@ def test_single_trial_leaves_three_pairs_empty(sampler, source):
 
 
 def test_single_trial_report_has_null_errors(capsys):
-    assert main(["sample", "--preset", "optimal", "--trials", "1"]) == 0
-    estimate = json.loads(capsys.readouterr().out)["results"]["estimate"]
-    assert sorted(estimate["counts"]) == [0, 0, 0, 1]
-    assert [se is None for se in estimate["std_errors"]] == [n == 0 for n in estimate["counts"]]
-    assert estimate["s_std_error"] is None
+    for command in (["sample", "--preset", "optimal"], ["lhv", "--weights", "1", *["0"] * 15]):
+        assert main([*command, "--trials", "1"]) == 0
+        estimate = json.loads(capsys.readouterr().out)["results"]["estimate"]
+        assert sorted(estimate["counts"]) == [0, 0, 0, 1]
+        assert [se is None for se in estimate["std_errors"]] == [n == 0 for n in estimate["counts"]]
+        assert estimate["s_std_error"] is None
+    # in a CSV report a null is an empty cell
+    assert main(["sample", "--preset", "optimal", "--trials", "1", "--format", "csv"]) == 0
+    cells = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+    counts = [int(cells[f"results.estimate.counts[{i}]"]) for i in range(4)]
+    assert sorted(counts) == [0, 0, 0, 1]
+    assert [cells[f"results.estimate.std_errors[{i}]"] == "" for i in range(4)] == [n == 0 for n in counts]
+    assert cells["results.estimate.s_std_error"] == ""
 
 
 @pytest.mark.parametrize("n", [1, 9999, 10000, 10001, 123457])
