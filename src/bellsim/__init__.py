@@ -7,14 +7,24 @@ seeded finite-statistics experiment simulation on both sides.
 
 Every public name below, and every submodule, is imported on first access,
 so ``import bellsim`` loads no submodule and a command compiles only the
-modules it runs.
+modules it runs. The exact core that the commands share is defined in two
+modules of its own and re-exported by the public ones: ``chsh`` re-exports
+``correlators`` (settings, correlator table, CHSH value and bounds) and adds
+the Born-rule traces, the correlation tensor of any state, the settings
+search and the Werner threshold;
+``lhv`` re-exports ``patterns`` (the 16 patterns, ``LhvModel``, exact
+correlators, the exhaustive bound) and adds the samplers and the trial log.
+The CLI is split the same way: ``cli`` parses and runs ``chsh`` with
+``cli_common``, and imports ``cli_search``, ``cli_lhv`` or ``cli_formats``
+only for the commands and formats that run them.
 """
 
 import sys
 
 __version__ = "0.1.0"
 
-#: The public names of each submodule.
+#: The public names of each public submodule; ``chsh`` and ``lhv`` list the names they
+#: re-export from ``correlators`` and ``patterns``, which are the same objects there.
 _PUBLIC = {
     "chsh": (
         "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "InternalConsistencyError",

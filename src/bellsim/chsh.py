@@ -1,33 +1,46 @@
 """Quantum CHSH engine: Born-rule correlators, the CHSH functional, its
-maximization over measurement directions, and the Werner visibility threshold."""
+maximization over measurement directions, and the Werner visibility threshold.
+
+The exact correlators, the settings and the bounds are defined in
+:mod:`bellsim.correlators` and re-exported here. This module adds what only
+``optimize``, ``werner-sweep`` and library callers run: the Born-rule traces,
+the correlation tensor of any state, the settings search and the threshold
+bisection."""
 
 from __future__ import annotations
 
 import functools
 import math
 
+from .correlators import (
+    CLASSICAL_BOUND,
+    CLASSICAL_SLACK,
+    MAX_SWEEP_POINTS,
+    MAX_TRIALS,
+    TSIRELSON_BOUND,
+    TSIRELSON_SLACK,
+    ChshResult,
+    CorrelatorTable,
+    InternalConsistencyError,
+    MeasurementSettings,
+    Tensor,
+    _table,
+    _werner_tensor,
+    aligned_settings,
+    chsh_value,
+    correlator_table,
+    settings_from_polar,
+    singlet_optimal_settings,
+)
 from .linalg import Record
-from .observables import UnitVector3, X_AXIS, Z_AXIS, from_polar
+from .observables import UnitVector3
 from .states import DensityMatrix, WernerState, make_werner
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
-    from typing import Iterable
-
     import numpy as np
 
-Tensor = tuple[tuple[float, float, float], ...]  # a 3x3 real matrix as three rows
-
-CLASSICAL_BOUND = 2.0
-TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-CLASSICAL_SLACK = 1e-12
-TSIRELSON_SLACK = 1e-8
 BORN_IMAG_TOL = 1e-10
-_CORRELATOR_SLACK = 1e-10
-
-
-class InternalConsistencyError(RuntimeError):
-    """A Born-rule trace or the correlation tensor came out with a non-negligible imaginary part."""
 
 
 def _check_real(value, what: str) -> None:
@@ -70,10 +83,7 @@ def correlation_tensor(rho: DensityMatrix) -> Tensor:
     summed in plain Python to the bits of the traces; any other state's T has its imaginary
     residue checked like that of a Born-rule trace."""
     if isinstance(rho, WernerState):
-        # The entries of werner_matrix: q and p/2 + q on the diagonal, -p/2 + 0.0 off it.
-        q, off = (1.0 - rho.p) / 4.0, -0.5 * rho.p + 0.0
-        t_xx, t_zz = off + off, 2.0 * (q - (0.5 * rho.p + q))
-        return ((t_xx, 0.0, 0.0), (0.0, t_xx, 0.0), (0.0, 0.0, t_zz))
+        return _werner_tensor(rho.p)
     t_mat = _pauli_pairs() @ rho.matrix.reshape(16)
     _check_real(t_mat, "correlation tensor")
     return tuple(map(tuple, t_mat.real.tolist()))
@@ -84,94 +94,13 @@ def singlet_correlator_analytic(a: UnitVector3, b: UnitVector3) -> float:
     return -a.dot(b)
 
 
-class MeasurementSettings(Record):
-    """One CHSH configuration: A chooses between a1/a2, B between b1/b2."""
-
-    __slots__ = ("a1", "a2", "b1", "b2")
-
-    def __init__(self, a1: UnitVector3, a2: UnitVector3, b1: UnitVector3, b2: UnitVector3) -> None:
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
-
-    def flip_b(self) -> "MeasurementSettings":
-        """Negate both of B's directions; this negates the CHSH value exactly."""
-        return MeasurementSettings(self.a1, self.a2, -self.b1, -self.b2)
-
-
-class CorrelatorTable(Record):
-    """The four correlators e_jk = <A_j B_k>, each necessarily in [-1, 1]."""
-
-    __slots__ = ("e11", "e12", "e21", "e22")
-
-    def __init__(self, e11: float, e12: float, e21: float, e22: float) -> None:
-        for name, value in zip(self.__slots__, (e11, e12, e21, e22)):
-            if not abs(value) <= 1.0 + _CORRELATOR_SLACK:
-                raise ValueError(f"correlator {name}={value!r} outside [-1, 1]")
-            object.__setattr__(self, name, value)
-
-    def as_dict(self) -> dict:
-        return {"e11": self.e11, "e12": self.e12, "e21": self.e21, "e22": self.e22}
-
-
-def chsh_value(t: CorrelatorTable) -> float:
-    """Signed CHSH combination e11 + e12 + e21 - e22; compare |S| to the bounds."""
-    return t.e11 + t.e12 + t.e21 - t.e22
-
-
-class ChshResult(Record):
-    """The CHSH value ``s_value`` reached at ``settings``, with its bound flags."""
-
-    __slots__ = ("s_value", "settings")
-
-    def __init__(self, s_value: float, settings: MeasurementSettings) -> None:
-        object.__setattr__(self, "s_value", s_value)
-        object.__setattr__(self, "settings", settings)
-
-    @property
-    def violates_classical(self) -> bool:
-        return abs(self.s_value) > CLASSICAL_BOUND + CLASSICAL_SLACK
-
-    @property
-    def within_tsirelson(self) -> bool:
-        return abs(self.s_value) <= TSIRELSON_BOUND + TSIRELSON_SLACK
-
-
-def _table(t_mat: Tensor, s: MeasurementSettings) -> CorrelatorTable:
-    """e_jk = (a_j T) . b_k, summed in plain Python."""
-    rows = [[a.x * tx + a.y * ty + a.z * tz for tx, ty, tz in zip(*t_mat)] for a in (s.a1, s.a2)]
-    return CorrelatorTable(*(ax * b.x + ay * b.y + az * b.z for ax, ay, az in rows for b in (s.b1, s.b2)))
-
-
 def _chsh_result(t_mat: Tensor, s: MeasurementSettings) -> ChshResult:
     return ChshResult(chsh_value(_table(t_mat, s)), s)
-
-
-def correlator_table(rho: DensityMatrix, s: MeasurementSettings) -> CorrelatorTable:
-    """All four correlators e_jk = a_j . T b_k of one configuration."""
-    return _table(correlation_tensor(rho), s)
 
 
 def chsh_quantum(rho: DensityMatrix, s: MeasurementSettings) -> ChshResult:
     """CHSH value of ``rho`` at the given settings, with bound flags."""
     return _chsh_result(correlation_tensor(rho), s)
-
-
-def singlet_optimal_settings() -> MeasurementSettings:
-    """A quadruple at which the singlet reaches S = 2*sqrt(2)."""
-    inv = 1.0 / math.sqrt(2.0)
-    return MeasurementSettings(
-        a1=Z_AXIS,
-        a2=X_AXIS,
-        b1=UnitVector3(-inv, 0.0, -inv),
-        b2=UnitVector3(inv, 0.0, -inv),
-    )
-
-
-def aligned_settings() -> MeasurementSettings:
-    """All four directions along z; gives S = -2 for the singlet."""
-    return MeasurementSettings(Z_AXIS, Z_AXIS, Z_AXIS, Z_AXIS)
 
 
 # --- settings search -------------------------------------------------------
@@ -186,21 +115,7 @@ def aligned_settings() -> MeasurementSettings:
 # every Werner state's, is decomposed there in plain Python by sorting its
 # diagonal; any other T goes to numpy's LAPACK SVD.
 
-#: Points of a Werner sweep. Each point (state, search and row) takes about
-#: 0.05 ms on a 2-vCPU Xeon, so a sweep at the bound runs in about 0.6 s as a
-#: fresh process (median of 7 runs).
-MAX_SWEEP_POINTS = 10_000
 THRESHOLD_TOL = 1e-6
-
-#: Largest trial count the samplers of :mod:`bellsim.lhv` accept. It is defined
-#: here, in a module every command loads, so the CLI bounds ``--trials``
-#: without importing the samplers. Every trial stays in memory. At 1e7 trials
-#: a CLI process peaked at 235 MB for ``sample``, with or without
-#: ``--trial-log``, and 178 MB for ``lhv --preset uniform16``, against 35 MB
-#: at one trial with numpy loaded (child RSS, spawned from a launcher that
-#: imports nothing else): about 20 and 14 bytes per trial, so the largest run
-#: needs about 2 GB. Larger counts are refused before any draw.
-MAX_TRIALS = 10**8
 
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -312,10 +227,3 @@ def werner_threshold() -> float:
             lo = mid
     return 0.5 * (lo + hi)
 
-
-def settings_from_polar(angles: Iterable[tuple[float, float]]) -> MeasurementSettings:
-    """Build a configuration from four ``(theta, phi)`` pairs in the order a1, a2, b1, b2."""
-    vectors = [from_polar(theta, phi) for theta, phi in angles]
-    if len(vectors) != 4:
-        raise ValueError(f"need exactly 4 directions, got {len(vectors)}")
-    return MeasurementSettings(*vectors)

@@ -1,33 +1,20 @@
-"""Command-line front end: reproducible, machine-readable CHSH computations."""
+"""Command-line front end: reproducible, machine-readable CHSH computations.
+
+This module parses the command line and runs ``chsh``. Each other command's
+runner, and the config file and CSV formats, are in modules imported only
+when they run, so a process compiles no runner but its own: where Python
+writes no bytecode, every module a process loads is compiled again.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .chsh import (
-    MAX_SWEEP_POINTS,
-    MAX_TRIALS,
-    THRESHOLD_TOL,
-    ChshResult,
-    InternalConsistencyError,
-    MeasurementSettings,
-    aligned_settings,
-    correlator_table,
-    chsh_value,
-    optimize_settings_traced,
-    settings_from_polar,
-    singlet_optimal_settings,
-    werner_threshold,
-)
-from .observables import UnitVector3, to_polar
-from .states import VISIBILITY_MAX, VISIBILITY_MIN, DensityMatrix, make_singlet, make_werner
-
-# .lhv is imported inside the lhv and sample commands, after their option checks, so
-# the other commands and those checks never load it.
+from .cli_common import SETTINGS_PRESETS, _bound_lines, _exact_table, _fmt9, _result_dict
+from .correlators import MAX_SWEEP_POINTS, MAX_TRIALS, ChshResult, InternalConsistencyError, chsh_value
 
 #: Shape of every machine-readable JSON report.
 REPORT_SCHEMA = {
@@ -40,11 +27,6 @@ REPORT_SCHEMA = {
         "diagnostics": {"type": "object"},
     },
     "additionalProperties": False,
-}
-
-SETTINGS_PRESETS = {
-    "optimal": singlet_optimal_settings,
-    "aligned": aligned_settings,
 }
 
 
@@ -116,159 +98,33 @@ _OPTIONS = {
 # --- parsing and resolution --------------------------------------------------
 
 
-def _parse_config_file(path: str, args: argparse.Namespace) -> list[str]:
-    """Turn a flat ``key = value`` file into ``--key=value`` tokens.
-
-    '#' starts a comment, dashes and underscores mix in keys, and matching
-    quotes around a value are stripped. A key that is not an option of the
-    subcommand parsed into ``args`` is refused with its file:line.
-    """
-    try:
-        with open(path) as stream:
-            text = stream.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _OPTIONS or not hasattr(args, key):
-            raise ValueError(f"{path}:{lineno}: {args.command} takes no config key {key!r}")
-        value = value.strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
-        tokens.append(f"--{key.replace('_', '-')}={value}")
-    return tokens
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse the command line; the lines of a --config file come before its flags."""
-    parser = build_parser()
+    """Parse the command line, and again with the lines of a --config file before its flags.
+
+    Only the subparser of the subcommand in ``argv[0]`` gets its options (see :func:`build_parser`).
+    """
+    parser = build_parser(argv[:1])
     args = parser.parse_args(argv)
-    if args.config is not None:
-        rest = argv[argv.index(args.command) + 1:]
-        args = parser.parse_args([args.command, *_parse_config_file(args.config, args), *rest])
-    # The report would overwrite the trial log, so one file for both is refused before any work.
-    log = getattr(args, "trial_log", None)
-    if log and args.out and os.path.realpath(log) == os.path.realpath(args.out):
-        raise ValueError(f"--out {args.out} and --trial-log {log} name the same file")
-    return args
+    if args.config is None:
+        return args
+    from .cli_formats import _parse_config_file
 
-
-def parse_state_spec(spec: str) -> DensityMatrix:
-    """Build the state named by 'singlet' or 'werner:P'."""
-    if spec == "singlet":
-        return make_singlet()
-    if spec.startswith("werner:"):
-        try:
-            p = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValueError(f"bad visibility in state spec {spec!r}") from exc
-        return make_werner(p)
-    raise ValueError(f"unknown state spec {spec!r}; use 'singlet' or 'werner:P'")
-
-
-def _resolve_settings(cfg: argparse.Namespace) -> MeasurementSettings:
-    pairs = [cfg.a1, cfg.a2, cfg.b1, cfg.b2]
-    given = sum(pair is not None for pair in pairs)
-    if given not in (0, 4):
-        raise ValueError("explicit settings need all four of --a1 --a2 --b1 --b2")
-    if cfg.preset is not None and given:
-        raise ValueError("give either --preset or explicit angles, not both")
-    if cfg.preset is not None:
-        return SETTINGS_PRESETS[cfg.preset]()
-    if given:
-        return settings_from_polar(pairs)
-    raise ValueError("specify --preset or all of --a1 --a2 --b1 --b2 (theta phi in radians)")
+    rest = argv[argv.index(args.command) + 1:]
+    return parser.parse_args([args.command, *_parse_config_file(args.config, args, _OPTIONS), *rest])
 
 
 # --- report plumbing ----------------------------------------------------------
 
 
-def _fmt9(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _csv_scalar(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _flatten(obj, key: str) -> list[str]:
-    """The ``key,value`` lines of ``obj``: nested keys joined by dots, list items indexed in brackets."""
-    if isinstance(obj, dict):
-        items = [(f"{key}.{k}" if key else k, v) for k, v in obj.items()]
-    elif isinstance(obj, list):
-        items = [(f"{key}[{i}]", v) for i, v in enumerate(obj)]
-    else:
-        return [f"{key},{_csv_scalar(obj)}"]
-    return [line for k, v in items for line in _flatten(v, k)]
-
-
-def _machine_text(cfg: argparse.Namespace, report: dict, csv_text: str | None) -> str:
+def _machine_text(cfg: argparse.Namespace, report: dict, csv_rows: list[tuple] | None) -> str:
     if cfg.format == "json":
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    return csv_text or "\n".join(["key,value", *_flatten(report, "")]) + "\n"
+    from .cli_formats import _csv_text
 
-
-def _direction_dict(v: UnitVector3) -> dict:
-    theta, phi = to_polar(v)
-    return {"theta": theta, "phi": phi, "x": v.x, "y": v.y, "z": v.z}
-
-
-def _settings_dict(s: MeasurementSettings) -> dict:
-    return {name: _direction_dict(getattr(s, name)) for name in s.__slots__}
-
-
-def _estimate_dict(estimate) -> dict:
-    """The estimate's fields; the infinite standard error of a setting pair with no trials, and so of S, is null."""
-    errors = [se if se < math.inf else None for se in estimate.std_errors]
-    return {
-        "table": estimate.table.as_dict(),
-        "counts": list(estimate.counts),
-        "std_errors": errors,
-        "s_estimate": estimate.s_estimate,
-        "s_std_error": None if None in errors else estimate.s_std_error,
-    }
-
-
-def _result_dict(result: ChshResult) -> dict:
-    return {
-        "s_value": result.s_value,
-        "abs_s": abs(result.s_value),
-        "violates_classical": result.violates_classical,
-        "within_tsirelson": result.within_tsirelson,
-    }
-
-
-def _bound_lines(result: ChshResult) -> list[str]:
-    return [
-        f"S   = {_fmt9(result.s_value)}",
-        f"|S| = {_fmt9(abs(result.s_value))}",
-        f"violates classical bound (|S| > 2): {'yes' if result.violates_classical else 'no'}",
-        f"within Tsirelson bound (2*sqrt(2)): {'yes' if result.within_tsirelson else 'no'}",
-    ]
+    return _csv_text(report, csv_rows)
 
 
 # --- commands -----------------------------------------------------------------
-
-
-def _exact_table(cfg: argparse.Namespace):
-    """The exact correlator table of ``chsh`` and ``sample``, its settings, and the inputs both report."""
-    rho = parse_state_spec(cfg.state)
-    settings = _resolve_settings(cfg)
-    inputs = {"state": cfg.state, "preset": cfg.preset, "settings": _settings_dict(settings)}
-    return correlator_table(rho, settings), settings, inputs
 
 
 def _run_chsh(cfg: argparse.Namespace):
@@ -286,189 +142,22 @@ def _run_chsh(cfg: argparse.Namespace):
     return report, human, None
 
 
-def _run_optimize(cfg: argparse.Namespace):
-    result, trace_info = optimize_settings_traced(parse_state_spec(cfg.state))
-    settings = _settings_dict(result.settings)
-    report = {
-        "command": "optimize",
-        "inputs": {
-            "state": cfg.state,
-            "seed": cfg.seed,
-        },
-        "results": {**_result_dict(result), "settings": settings},
-        "diagnostics": {
-            "singular_values": list(trace_info.singular_values),
-            "optimality_gap": trace_info.optimality_gap,
-        },
-    }
-    human = [f"optimize  state={cfg.state}"]
-    human.extend(_bound_lines(result))
-    human.extend(f"{name}: theta = {_fmt9(d['theta'])}, phi = {_fmt9(d['phi'])}" for name, d in settings.items())
-    human.append(
-        "singular values of T: " + " ".join(_fmt9(v) for v in trace_info.singular_values)
-        + f"; gap to the Horodecki maximum {trace_info.optimality_gap:.3g}"
-    )
-    return report, human, None
+def _run(cfg: argparse.Namespace):
+    """The command's report, human summary lines and CSV rows (None for key,value CSV).
 
-
-def _run_werner_sweep(cfg: argparse.Namespace):
-    if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
-        raise ValueError(f"sweep range needs -1/3 <= p_min < p_max <= 1, got p_min={cfg.p_min}, p_max={cfg.p_max}")
-    step = (cfg.p_max - cfg.p_min) / (cfg.points - 1)
-    threshold = werner_threshold()
-    # The grid's last row is p_max itself: p_min + (points - 1) * step can round past it.
-    # The threshold row comes after it.
-    rows, gaps = [], []
-    for p in [cfg.p_min + i * step for i in range(cfg.points - 1)] + [cfg.p_max, threshold]:
-        result, trace_info = optimize_settings_traced(make_werner(p))
-        rows.append({"p": p, "max_s": result.s_value, "violates": result.violates_classical})
-        gaps.append(trace_info.optimality_gap)
-    report = {
-        "command": "werner-sweep",
-        "inputs": {
-            "p_min": cfg.p_min,
-            "p_max": cfg.p_max,
-            "points": cfg.points,
-            "seed": cfg.seed,
-        },
-        "results": {"rows": rows[:-1], "threshold": threshold, "threshold_row": rows[-1]},
-        "diagnostics": {
-            "bisection_tol": THRESHOLD_TOL,
-            "optimality_gap": gaps[:-1],
-            "threshold_row_optimality_gap": gaps[-1],
-        },
-    }
-    csv_lines = ["p,max_s,violates", *(f"{r['p']!r},{r['max_s']!r},{_csv_scalar(r['violates'])}" for r in rows)]
-    human = [
-        f"werner-sweep  {cfg.points} points on [{_fmt9(cfg.p_min)}, {_fmt9(cfg.p_max)}]",
-        f"threshold p* = {_fmt9(threshold)}  (max S there = {_fmt9(rows[-1]['max_s'])})",
-        f"max S at p = {_fmt9(rows[-2]['p'])}: {_fmt9(rows[-2]['max_s'])}",
-    ]
-    return report, human, "\n".join(csv_lines) + "\n"
-
-
-def _run_lhv(cfg: argparse.Namespace):
-    chosen = sum([cfg.exhaustive, cfg.preset is not None, cfg.weights is not None])
-    if chosen != 1:
-        raise ValueError("give exactly one of --exhaustive, --preset, or --weights")
-    if cfg.trial_log is not None and cfg.trials is None:
-        raise ValueError("--trial-log needs --trials")
-    if cfg.exhaustive and cfg.trials is not None:
-        raise ValueError("--exhaustive does not take --trials")
-    from .lhv import (
-        PATTERN_LABELS,
-        LhvModel,
-        classical_bound_exhaustive,
-        deterministic_chsh_values,
-        lhv_correlators_exact,
-        sample_lhv_experiment,
-    )
-
-    if cfg.exhaustive:
-        values = deterministic_chsh_values()
-        bound = classical_bound_exhaustive()
-        report = {
-            "command": "lhv",
-            "inputs": {"model": "exhaustive", "seed": cfg.seed},
-            "results": {
-                "classical_bound": bound,
-                "pattern_labels": list(PATTERN_LABELS),
-                "pattern_values": list(values),
-            },
-            "diagnostics": {"patterns": len(values)},
-        }
-        human = [
-            "lhv exhaustive enumeration of deterministic strategies",
-            f"classical bound max|S| = {_fmt9(bound)}",
-            "per-pattern S values: " + " ".join(_fmt9(v) for v in values),
-        ]
-        return report, human, None
-
-    if cfg.preset is not None:
-        model, model_name = LhvModel.uniform16(), "uniform16"
+    The runners of the other commands are imported here, when their command runs.
+    """
+    if cfg.command == "chsh":
+        return _run_chsh(cfg)
+    if cfg.command == "optimize":
+        from .cli_search import _run_optimize as runner
+    elif cfg.command == "werner-sweep":
+        from .cli_search import _run_werner_sweep as runner
+    elif cfg.command == "lhv":
+        from .cli_lhv import _run_lhv as runner
     else:
-        model, model_name = LhvModel.from_pattern_weights(cfg.weights), "weights"
-    table = lhv_correlators_exact(model)
-    s = chsh_value(table)
-    results = {
-        "exact_table": table.as_dict(),
-        "s_value": s,
-        "abs_s": abs(s),
-        "estimate": None,
-    }
-    human = [f"lhv  model={model_name}"]
-    human.extend(f"{k} = {_fmt9(v)}" for k, v in table.as_dict().items())
-    human.append(f"S   = {_fmt9(s)}")
-    diagnostics: dict = {"labels": list(PATTERN_LABELS)}
-    if cfg.trials is not None:
-        estimate, log = sample_lhv_experiment(model, cfg.trials, cfg.seed)
-        results["estimate"] = _estimate_dict(estimate)
-        diagnostics["trial_log"] = _write_log_if_requested(cfg, log)
-        human.append(
-            f"sampled S = {_fmt9(estimate.s_estimate)} +- {_fmt9(estimate.s_std_error)} "
-            f"({cfg.trials} trials, seed {cfg.seed})"
-        )
-    report = {
-        "command": "lhv",
-        "inputs": {
-            "model": model_name,
-            "weights": list(model.weights),
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-        },
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-    return report, human, None
-
-
-def _run_sample(cfg: argparse.Namespace):
-    if cfg.trials is None:
-        raise ValueError("sample requires --trials")
-    exact, _, inputs = _exact_table(cfg)
-    from .lhv import sample_quantum_experiment
-
-    exact_s = chsh_value(exact)
-    estimate, log = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
-    log_path = _write_log_if_requested(cfg, log)
-    report = {
-        "command": "sample",
-        "inputs": {**inputs, "trials": cfg.trials, "seed": cfg.seed},
-        "results": {
-            "exact_table": exact.as_dict(),
-            "exact_s": exact_s,
-            "estimate": _estimate_dict(estimate),
-        },
-        "diagnostics": {"trial_log": log_path},
-    }
-    human = [
-        f"sample  state={cfg.state}  trials={cfg.trials}  seed={cfg.seed}",
-        f"exact S     = {_fmt9(exact_s)}",
-        f"estimated S = {_fmt9(estimate.s_estimate)} +- {_fmt9(estimate.s_std_error)}",
-        "per-pair trials: " + " ".join(str(n) for n in estimate.counts),
-    ]
-    if log_path:
-        human.append(f"trial log written to {log_path}")
-    return report, human, None
-
-
-def _write_log_if_requested(cfg: argparse.Namespace, log) -> str | None:
-    if cfg.trial_log is None:
-        return None
-    from .lhv import write_trial_log
-
-    with open(cfg.trial_log, "w", encoding="ascii") as stream:
-        write_trial_log(log, stream)
-    return cfg.trial_log
-
-
-_RUNNERS = {
-    "chsh": _run_chsh,
-    "optimize": _run_optimize,
-    "werner-sweep": _run_werner_sweep,
-    "lhv": _run_lhv,
-    "sample": _run_sample,
-}
+        from .cli_lhv import _run_sample as runner
+    return runner(cfg)
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -482,57 +171,62 @@ def _add_option(p: argparse.ArgumentParser, key: str, **overrides) -> None:
     p.add_argument("--" + key.replace("_", "-"), **spec)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+#: Each subcommand and its help line, in the order ``bellsim --help`` lists them.
+_COMMANDS = {
+    "chsh": "evaluate the CHSH value at fixed settings",
+    "optimize": "maximize |S| over measurement directions",
+    "werner-sweep": "max |S| across Werner visibilities plus the violation threshold",
+    "lhv": "exact and sampled hidden-variable statistics",
+    "sample": "finite-statistics experiment on a quantum correlator table",
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Add the options of ``command`` to its subparser ``p``, in the order its help lists them."""
+    if command == "werner-sweep":
+        for key in ("p_min", "p_max", "points"):
+            _add_option(p, key)
+    elif command == "lhv":
+        p.add_argument("--exhaustive", action="store_true",
+                       help="enumerate all 16 deterministic strategies and report max |S|")
+        _add_option(p, "preset", choices=["uniform16"], help="named model")
+        p.add_argument("--weights", nargs=16, type=float, metavar="W", help="16 normalized pattern weights")
+        _add_option(p, "trials", help=f"also sample this many trials (at most {MAX_TRIALS})")
+        _add_option(p, "trial_log")
+    else:
+        _add_option(p, "state")
+        if command != "optimize":
+            _add_option(p, "preset")
+            for name in ("a1", "a2", "b1", "b2"):
+                p.add_argument(f"--{name}", nargs=2, type=float, metavar=("THETA", "PHI"),
+                               help=f"polar angles of {name} in radians")
+        if command == "sample":
+            _add_option(p, "trials")
+            _add_option(p, "trial_log")
     for key in ("format", "out", "seed"):
         _add_option(p, key)
     p.add_argument("--config", type=_path, help="key=value config file; explicit flags win")
 
 
-def _add_settings(p: argparse.ArgumentParser) -> None:
-    _add_option(p, "preset")
-    for name in ("a1", "a2", "b1", "b2"):
-        p.add_argument(f"--{name}", nargs=2, type=float, metavar=("THETA", "PHI"),
-                       help=f"polar angles of {name} in radians")
+def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of those in ``commands``.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    Every subcommand is registered with its help, so the top-level help and
+    the error for an unknown subcommand are the same either way; one left
+    out of ``commands`` takes no options. :func:`_parse_args` builds only the
+    subcommand named by ``argv[0]``, which the top-level parser, taking no
+    option but ``-h``, always reads as the subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Two-qubit CHSH calculations: quantum correlators, bound "
                     "searches, and local hidden-variable simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chsh", help="evaluate the CHSH value at fixed settings")
-    _add_option(p, "state")
-    _add_settings(p)
-    _add_common(p)
-
-    p = sub.add_parser("optimize", help="maximize |S| over measurement directions")
-    _add_option(p, "state")
-    _add_common(p)
-
-    p = sub.add_parser("werner-sweep", help="max |S| across Werner visibilities plus the violation threshold")
-    for key in ("p_min", "p_max", "points"):
-        _add_option(p, key)
-    _add_common(p)
-
-    p = sub.add_parser("lhv", help="exact and sampled hidden-variable statistics")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="enumerate all 16 deterministic strategies and report max |S|")
-    _add_option(p, "preset", choices=["uniform16"], help="named model")
-    p.add_argument("--weights", nargs=16, type=float, metavar="W", help="16 normalized pattern weights")
-    _add_option(p, "trials", help=f"also sample this many trials (at most {MAX_TRIALS})")
-    _add_option(p, "trial_log")
-    _add_common(p)
-
-    p = sub.add_parser("sample", help="finite-statistics experiment on a quantum correlator table")
-    _add_option(p, "state")
-    _add_settings(p)
-    _add_option(p, "trials")
-    _add_option(p, "trial_log")
-    _add_common(p)
-
+    for command, help_line in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if command in commands:
+            _add_arguments(p, command)
     return parser
 
 
@@ -549,8 +243,8 @@ def _emit(machine_text: str, human_lines: list[str], out: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _parse_args(sys.argv[1:] if argv is None else argv)
-        report, human, csv_text = _RUNNERS[cfg.command](cfg)
-        _emit(_machine_text(cfg, report, csv_text), human, cfg.out)
+        report, human, csv_rows = _run(cfg)
+        _emit(_machine_text(cfg, report, csv_rows), human, cfg.out)
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)

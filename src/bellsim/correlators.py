@@ -1,0 +1,157 @@
+"""Exact quantum correlators: measurement settings, the table of the four
+correlators and the CHSH value with its bounds.
+
+This is the part of the quantum engine that every command loads; for the
+Werner states that the commands build it runs on plain Python.
+:mod:`bellsim.chsh` re-exports each name here and adds the Born-rule traces,
+the correlation tensor of any state, the settings search and the Werner
+threshold.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .linalg import Record
+from .observables import UnitVector3, X_AXIS, Z_AXIS, from_polar
+from .states import DensityMatrix, WernerState
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from typing import Iterable
+
+Tensor = tuple[tuple[float, float, float], ...]  # a 3x3 real matrix as three rows
+
+CLASSICAL_BOUND = 2.0
+TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+CLASSICAL_SLACK = 1e-12
+TSIRELSON_SLACK = 1e-8
+_CORRELATOR_SLACK = 1e-10
+
+#: Points of a Werner sweep. Each point (state, search and row) takes about
+#: 0.05 ms on a 2-vCPU Xeon, so a sweep at the bound runs in about 0.6 s as a
+#: fresh process (median of 7 runs).
+MAX_SWEEP_POINTS = 10_000
+
+#: Largest trial count the samplers of :mod:`bellsim.lhv` accept. It is defined
+#: here, in a module every command loads, so the CLI bounds ``--trials``
+#: without importing the samplers. Every trial stays in memory. At 1e7 trials
+#: a CLI process peaked at 235 MB for ``sample``, with or without
+#: ``--trial-log``, and 178 MB for ``lhv --preset uniform16``, against 35 MB
+#: at one trial with numpy loaded (child RSS, spawned from a launcher that
+#: imports nothing else): about 20 and 14 bytes per trial, so the largest run
+#: needs about 2 GB. Larger counts are refused before any draw.
+MAX_TRIALS = 10**8
+
+
+class InternalConsistencyError(RuntimeError):
+    """A Born-rule trace or the correlation tensor came out with a non-negligible imaginary part.
+
+    Raised in :mod:`bellsim.chsh`, and defined here so that the CLI catches it without loading that module."""
+
+
+def _werner_tensor(p: float) -> Tensor:
+    """The correlation tensor T = diag(-p, -p, -p) of the Werner state at visibility ``p``.
+
+    It is summed in plain Python from the entries of :func:`bellsim.states.werner_matrix`, q and
+    p/2 + q on the diagonal and -p/2 + 0.0 off it, to the bits of the traces."""
+    q, off = (1.0 - p) / 4.0, -0.5 * p + 0.0
+    t_xx, t_zz = off + off, 2.0 * (q - (0.5 * p + q))
+    return ((t_xx, 0.0, 0.0), (0.0, t_xx, 0.0), (0.0, 0.0, t_zz))
+
+
+class MeasurementSettings(Record):
+    """One CHSH configuration: A chooses between a1/a2, B between b1/b2."""
+
+    __slots__ = ("a1", "a2", "b1", "b2")
+
+    def __init__(self, a1: UnitVector3, a2: UnitVector3, b1: UnitVector3, b2: UnitVector3) -> None:
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
+
+    def flip_b(self) -> "MeasurementSettings":
+        """Negate both of B's directions; this negates the CHSH value exactly."""
+        return MeasurementSettings(self.a1, self.a2, -self.b1, -self.b2)
+
+
+class CorrelatorTable(Record):
+    """The four correlators e_jk = <A_j B_k>, each necessarily in [-1, 1]."""
+
+    __slots__ = ("e11", "e12", "e21", "e22")
+
+    def __init__(self, e11: float, e12: float, e21: float, e22: float) -> None:
+        for name, value in zip(self.__slots__, (e11, e12, e21, e22)):
+            if not abs(value) <= 1.0 + _CORRELATOR_SLACK:
+                raise ValueError(f"correlator {name}={value!r} outside [-1, 1]")
+            object.__setattr__(self, name, value)
+
+    def as_dict(self) -> dict:
+        return {"e11": self.e11, "e12": self.e12, "e21": self.e21, "e22": self.e22}
+
+
+def chsh_value(t: CorrelatorTable) -> float:
+    """Signed CHSH combination e11 + e12 + e21 - e22; compare |S| to the bounds."""
+    return t.e11 + t.e12 + t.e21 - t.e22
+
+
+class ChshResult(Record):
+    """The CHSH value ``s_value`` reached at ``settings``, with its bound flags."""
+
+    __slots__ = ("s_value", "settings")
+
+    def __init__(self, s_value: float, settings: MeasurementSettings) -> None:
+        object.__setattr__(self, "s_value", s_value)
+        object.__setattr__(self, "settings", settings)
+
+    @property
+    def violates_classical(self) -> bool:
+        return abs(self.s_value) > CLASSICAL_BOUND + CLASSICAL_SLACK
+
+    @property
+    def within_tsirelson(self) -> bool:
+        return abs(self.s_value) <= TSIRELSON_BOUND + TSIRELSON_SLACK
+
+
+def _table(t_mat: Tensor, s: MeasurementSettings) -> CorrelatorTable:
+    """e_jk = (a_j T) . b_k, summed in plain Python."""
+    rows = [[a.x * tx + a.y * ty + a.z * tz for tx, ty, tz in zip(*t_mat)] for a in (s.a1, s.a2)]
+    return CorrelatorTable(*(ax * b.x + ay * b.y + az * b.z for ax, ay, az in rows for b in (s.b1, s.b2)))
+
+
+def correlator_table(rho: DensityMatrix, s: MeasurementSettings) -> CorrelatorTable:
+    """All four correlators e_jk = a_j . T b_k of one configuration, T being :func:`bellsim.chsh.correlation_tensor`.
+
+    A Werner state's T is built here. Any other state's comes from :mod:`bellsim.chsh`, imported on
+    the first such state, so the commands, which build only Werner states, do not compile it.
+    """
+    if isinstance(rho, WernerState):
+        return _table(_werner_tensor(rho.p), s)
+    from .chsh import correlation_tensor
+
+    return _table(correlation_tensor(rho), s)
+
+
+def singlet_optimal_settings() -> MeasurementSettings:
+    """A quadruple at which the singlet reaches S = 2*sqrt(2)."""
+    inv = 1.0 / math.sqrt(2.0)
+    return MeasurementSettings(
+        a1=Z_AXIS,
+        a2=X_AXIS,
+        b1=UnitVector3(-inv, 0.0, -inv),
+        b2=UnitVector3(inv, 0.0, -inv),
+    )
+
+
+def aligned_settings() -> MeasurementSettings:
+    """All four directions along z; gives S = -2 for the singlet."""
+    return MeasurementSettings(Z_AXIS, Z_AXIS, Z_AXIS, Z_AXIS)
+
+
+def settings_from_polar(angles: Iterable[tuple[float, float]]) -> MeasurementSettings:
+    """Build a configuration from four ``(theta, phi)`` pairs in the order a1, a2, b1, b2."""
+    vectors = [from_polar(theta, phi) for theta, phi in angles]
+    if len(vectors) != 4:
+        raise ValueError(f"need exactly 4 directions, got {len(vectors)}")
+    return MeasurementSettings(*vectors)

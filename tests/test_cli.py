@@ -456,7 +456,7 @@ def test_internal_error_exits_one(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalConsistencyError("imaginary residue")
 
-    monkeypatch.setattr("bellsim.cli.correlator_table", boom)
+    monkeypatch.setattr("bellsim.cli_common.correlator_table", boom)
     code, _, err = run_cli(capsys, "chsh", "--state", "singlet", "--preset", "optimal")
     assert code == 1
     assert "internal error" in err
@@ -492,6 +492,61 @@ def test_trials_help_states_the_bound(capsys):
     for command in ("sample", "lhv"):
         _, out, _ = run_cli(capsys, command, "--help")
         assert f"at most {MAX_TRIALS})" in out
+
+
+# --- one subparser per parse ----------------------------------------------------------
+
+#: Config files for the parse panel: one every subcommand takes, one only werner-sweep takes
+#: (a key error elsewhere), one with a value no format takes, and one line that is no key = value.
+PARSE_CONFIGS = {"seed.cfg": "seed = 5\n", "points.cfg": "points = 3\n", "xml.cfg": "format = xml\n",
+                 "line.cfg": "preset\n"}
+
+#: Per subcommand: valid argv, --help, an unknown option, a missing value, a bad choice, an
+#: out-of-range integer, and --config lines, good and bad; then argv with no subcommand first.
+PARSE_PANEL = [
+    *([command, *rest] for command in cli._COMMANDS for rest in (
+        [], ["--help"], ["--seed", "7", "--out", "./r.json", "--format", "csv"], ["--bogus"], ["--seed"],
+        ["--format", "xml"], ["--seed", "-1"], ["--config", "seed.cfg", "--seed", "9"], ["--config", "points.cfg"],
+        ["--config", "xml.cfg"], ["--config", "line.cfg"], ["--config", "missing.cfg"],
+    )),
+    ["chsh", "--state", "werner:0.9", "--preset", "aligned"], ["chsh", "--a1", "0.1", "0.2"],
+    ["chsh", "--preset", "diagonal"], ["chsh", *[tok for name in ("a1", "a2", "b1", "b2") for tok in (f"--{name}", "1", "2")]],
+    ["werner-sweep", "--p-min", "0.2", "--p-max", "0.4", "--points", "3"], ["werner-sweep", "--points", "1"],
+    ["lhv", "--exhaustive"], ["lhv", "--weights", "1", *["0"] * 15, "--trials", "1e3"], ["lhv", "--weights", "1"],
+    ["lhv", "--preset", "optimal"], ["lhv", "--trials", "1.5"],
+    ["sample", "--preset", "optimal", "--trials", "10", "--trial-log", "t.csv"], ["sample", "--trials", "0"],
+    ["sample", "--trial-log"], ["chsch"], ["--help"], ["-h"], ["--he"], [], ["--seed", "3", "chsh"], ["--", "chsh"],
+]
+
+
+def _parse_outcome(capsys, argv):
+    try:
+        result = ("parsed", vars(cli._parse_args(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except ValueError as exc:
+        result = ("error", str(exc))
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_PANEL, ids=lambda argv: " ".join(argv) or "(no command)")
+def test_parse_with_one_subparser_matches_the_full_parser(capsys, tmp_path, monkeypatch, argv):
+    """Only the subcommand named by argv[0] gets its options, and the namespace, output and exit match."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in PARSE_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    build_parser, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda commands: built.append(commands) or build_parser(commands))
+    one = _parse_outcome(capsys, argv)
+    assert built == [argv[:1]]
+    monkeypatch.setattr(cli, "build_parser", lambda commands: build_parser())
+    assert one == _parse_outcome(capsys, argv)
+
+
+def test_build_parser_gives_options_only_to_the_named_subcommand():
+    (subparsers,) = [a for a in cli.build_parser(["lhv"])._actions if a.dest == "command"]
+    assert {name: len(p._actions) > 1 for name, p in subparsers.choices.items()} == {
+        "chsh": False, "optimize": False, "werner-sweep": False, "lhv": True, "sample": False}
 
 
 # --- one parse for flags and config files ----------------------------------------------
@@ -613,7 +668,7 @@ def test_sweep_points_above_max_exit_two_before_searching(capsys, tmp_path, monk
     def no_search(*args, **kwargs):
         raise _Searched
 
-    monkeypatch.setattr("bellsim.cli.optimize_settings_traced", no_search)
+    monkeypatch.setattr("bellsim.cli_search.optimize_settings_traced", no_search)
     monkeypatch.setattr("bellsim.chsh.optimize_settings_traced", no_search)
     if via_config:
         cfg = tmp_path / "run.cfg"
@@ -646,7 +701,7 @@ def test_integer_out_of_range_exits_two_naming_the_option(
     def no_work(*args, **kwargs):
         raise _Searched
 
-    for target in ("bellsim.cli.optimize_settings_traced", "bellsim.chsh.optimize_settings_traced",
+    for target in ("bellsim.cli_search.optimize_settings_traced", "bellsim.chsh.optimize_settings_traced",
                    "numpy.random.default_rng"):
         monkeypatch.setattr(target, no_work)
     cfg = tmp_path / "run.cfg"
