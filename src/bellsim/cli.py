@@ -33,9 +33,11 @@ REPORT_SCHEMA = {
 def _integer(text: str) -> int:
     """The integer option type of flags and config files alike.
 
-    ``12``, ``1e6`` and ``4.0`` are accepted; ``1.9``, ``nan``, ``inf`` and
-    ``true`` are refused, not truncated. ``int`` is tried first, so a seed
-    above 2**53 keeps every digit.
+    ``int`` is tried first, so ``12`` and a seed above 2**53 keep every
+    digit. A float spelling is accepted only when its exact decimal value is
+    that integer: ``1e6`` and ``4.0`` are; ``1.9``, ``1e23`` (which a float
+    rounds to another integer), ``nan``, ``inf`` and ``true`` are refused,
+    not truncated.
     """
     try:
         return int(text)
@@ -44,7 +46,10 @@ def _integer(text: str) -> int:
     try:
         value = float(text)
         if value.is_integer():
-            return int(value)
+            import decimal
+
+            if decimal.Decimal(text) == value:
+                return int(value)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")

@@ -5,15 +5,20 @@ imports this module only when one of the two is asked for."""
 from __future__ import annotations
 
 import argparse
+import re
+
+#: A config line: a key, ``=``, then a value in matching quotes, taken whole with any '#' in it,
+#: or else a value up to the first '#'; a '#' after the value starts a comment.
+_LINE = re.compile(r"""([^#=]*)=\s*(?:(["'])(?P<quoted>.*?)\2|(?P<bare>[^#]*?))\s*(?:#.*)?""")
 
 
 def _parse_config_file(path: str, args: argparse.Namespace, keys) -> list[str]:
     """Turn a flat ``key = value`` file into ``--key=value`` tokens.
 
-    '#' starts a comment, dashes and underscores mix in keys, and matching
-    quotes around a value are stripped. A key that is not one of ``keys`` or
-    not an option of the subcommand parsed into ``args`` is refused with its
-    file:line.
+    Matching quotes around a value are stripped, a '#' outside them starts
+    a comment, and dashes and underscores mix in keys. A key that is not one
+    of ``keys`` or not an option of the subcommand parsed into ``args`` is
+    refused with its file:line.
     """
     try:
         with open(path) as stream:
@@ -22,18 +27,14 @@ def _parse_config_file(path: str, args: argparse.Namespace, keys) -> list[str]:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not raw.split("#", 1)[0].strip():
             continue
-        if "=" not in line:
+        if (line := _LINE.fullmatch(raw)) is None:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = line[1].strip().replace("-", "_")
         if key not in keys or not hasattr(args, key):
             raise ValueError(f"{path}:{lineno}: {args.command} takes no config key {key!r}")
-        value = value.strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
+        value = line["bare"] if line["quoted"] is None else line["quoted"]
         tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
 
@@ -45,6 +46,8 @@ def _csv_scalar(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 

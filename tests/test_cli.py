@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path, PurePosixPath
@@ -378,6 +380,17 @@ def test_csv_keyvalue_format(capsys):
     assert float(s_rows[0].split(",")[1]) == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["a,b.csv", 'a"b.csv', "a\nb.csv", "a\rb.csv"])
+def test_csv_quotes_a_value_with_a_separator(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sample", "--preset", "optimal", "--trials", "5", "--trial-log", name,
+                             "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert {len(row) for row in rows} == {2}
+    assert ["diagnostics.trial_log", name] in rows
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 123\ntrials = 5000\n# comment\nformat = json\n")
@@ -406,15 +419,20 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+#: Each float spelling after the first six reads as an integral float, but a rounded one.
 @pytest.mark.parametrize("line", ["seed = 1.9", "trials = 2.5", "points = 2.7",
-                                  "seed = true", "seed = nan", "trials = inf"])
+                                  "seed = true", "seed = nan", "trials = inf",
+                                  "seed = 1e23", "seed = 9007199254740993.0", "seed = 1.0000000000000000001",
+                                  "seed = 4503599627370495.25"])
 def test_config_rejects_non_integral_integers(capsys, tmp_path, line):
+    """And so does the flag with the same text."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    key = line.split()[0]
-    code, _, err = run_cli(capsys, *CHEAP_COMMANDS[key], "--config", str(cfg))
-    assert code == 2
-    assert f"argument --{key}: expected an integer" in err
+    key, _, text = line.split()
+    for source in (["--config", str(cfg)], [f"--{key}={text}"]):
+        code, _, err = run_cli(capsys, *CHEAP_COMMANDS[key], *source)
+        assert code == 2
+        assert f"argument --{key}: expected an integer" in err
 
 
 @pytest.mark.parametrize("line, value", [('seed = ""', ""), ("seed = ''", ""), ('seed = "', '"')])
@@ -427,12 +445,25 @@ def test_config_quotes_around_nothing_give_the_empty_value(capsys, tmp_path, lin
     assert run_cli(capsys, "chsh", "--preset", "optimal", f"--seed={value}") == by_file
 
 
+@pytest.mark.parametrize("line, name", [('out = "run#1.json"', "run#1.json"),
+                                        ("out = 'run#1.json'  # the report", "run#1.json"),
+                                        ('out = run.json  # not "quoted#"', "run.json")])
+def test_config_hash_starts_a_comment_only_outside_quotes(capsys, tmp_path, monkeypatch, line, name):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(line + "\n")
+    code, _, err = run_cli(capsys, "chsh", "--preset", "optimal", "--config", "run.cfg")
+    assert code == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.cfg", name])
+    assert json.loads(Path(name).read_text())["command"] == "chsh"
+
+
 def test_config_accepts_integral_float(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("trials = 1e3\nseed = 4.0\n")
-    report = run_json(capsys, "sample", "--preset", "optimal", "--config", str(cfg))
-    assert report["inputs"]["trials"] == 1000
-    assert report["inputs"]["seed"] == 4
+    for text, seed in (("4.0", 4), ("1e22", 10**22)):
+        cfg.write_text(f"trials = 1e3\nseed = {text}\n")
+        report = run_json(capsys, "sample", "--preset", "optimal", "--config", str(cfg))
+        assert report["inputs"]["trials"] == 1000
+        assert report["inputs"]["seed"] == seed
 
 
 @pytest.mark.parametrize("key", ["theta_divisions", "phi-divisions", "restarts"])

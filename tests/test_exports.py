@@ -4,8 +4,9 @@ import pytest
 
 import bellsim
 
-#: Every name ``bellsim`` has exported since it imported its submodules eagerly, by defining module.
-#: ``MAX_TRIALS`` is defined in ``chsh`` and re-exported by ``lhv`` as the same object.
+#: Every name ``bellsim`` has exported since it imported its submodules eagerly, by the submodule that
+#: exports it. ``MAX_TRIALS`` is defined in ``correlators`` and re-exported by ``chsh`` and ``lhv`` as the
+#: same object.
 PUBLIC = {
     "chsh": [
         "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "InternalConsistencyError", "MAX_TRIALS",
