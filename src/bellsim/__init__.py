@@ -9,14 +9,16 @@ Every public name below, and every submodule, is imported on first access,
 so ``import bellsim`` loads no submodule and a command compiles only the
 modules it runs. The exact core that the commands share is defined in two
 modules of its own and re-exported by the public ones: ``chsh`` re-exports
-``correlators`` (settings, correlator table, CHSH value and bounds) and adds
-the Born-rule traces, the correlation tensor of any state, the settings
-search and the Werner threshold;
+``correlators`` (settings, correlation tensor, correlator table, CHSH value
+and bounds) and adds the Born-rule traces, the settings search and the
+Werner threshold;
 ``lhv`` re-exports ``patterns`` (the 16 patterns, ``LhvModel``, exact
 correlators, the exhaustive bound) and adds the samplers and the trial log.
 The CLI is split the same way: ``cli`` parses and runs ``chsh`` with
 ``cli_common``, and imports ``cli_search``, ``cli_lhv`` or ``cli_formats``
-only for the commands and formats that run them.
+only for the commands and formats that run them. ``linalg``, what only a
+state given as a matrix runs, is imported on the first such state, so no
+command loads it. Each module imports only modules below it.
 """
 
 import sys

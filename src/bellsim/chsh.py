@@ -1,15 +1,13 @@
 """Quantum CHSH engine: Born-rule correlators, the CHSH functional, its
 maximization over measurement directions, and the Werner visibility threshold.
 
-The exact correlators, the settings and the bounds are defined in
-:mod:`bellsim.correlators` and re-exported here. This module adds what only
-``optimize``, ``werner-sweep`` and library callers run: the Born-rule traces,
-the correlation tensor of any state, the settings search and the threshold
-bisection."""
+The exact correlators, the correlation tensor, the settings and the bounds
+are defined in :mod:`bellsim.correlators` and re-exported here. This module
+adds what only ``optimize``, ``werner-sweep`` and library callers run: the
+Born-rule traces, the settings search and the threshold bisection."""
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .correlators import (
@@ -21,41 +19,30 @@ from .correlators import (
     TSIRELSON_SLACK,
     ChshResult,
     CorrelatorTable,
-    InternalConsistencyError,
     MeasurementSettings,
     Tensor,
     _table,
-    _werner_tensor,
     aligned_settings,
     chsh_value,
+    correlation_tensor,
     correlator_table,
     settings_from_polar,
     singlet_optimal_settings,
 )
-from .linalg import Record
 from .observables import UnitVector3
-from .states import DensityMatrix, WernerState, make_werner
+from .record import InternalConsistencyError, Record
+from .states import DensityMatrix, make_werner
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     import numpy as np
 
-BORN_IMAG_TOL = 1e-10
-
-
-def _check_real(value, what: str) -> None:
-    residue = float(abs(value.imag).max())
-    if residue > BORN_IMAG_TOL:
-        raise InternalConsistencyError(
-            f"{what} has imaginary part {residue:.3e}; "
-            "state or observable is not Hermitian in the expected ordering"
-        )
-
 
 def born_expectation(state: np.ndarray, observable: np.ndarray) -> float:
     """Tr(state * observable), asserting the imaginary residue is below 1e-10."""
+    import bellsim.linalg as linalg
     value = (state @ observable).trace()
-    _check_real(value, "Born-rule trace")
+    linalg._check_real(value, "Born-rule trace")
     return float(value.real)
 
 
@@ -63,30 +50,6 @@ def quantum_correlator(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> floa
     """Expectation of the product of outcomes when A measures observable ``a`` and B measures ``b``."""
     import numpy as np
     return born_expectation(rho.matrix, np.kron(a, b))
-
-
-_PAULIS = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))  # sigma_x, sigma_y, sigma_z
-
-
-@functools.cache
-def _pauli_pairs() -> np.ndarray:
-    """Entry (i, j) is (sigma_i (x) sigma_j)^T flattened: its product with the flattened state is T_ij."""
-    import numpy as np
-    paulis = np.array(_PAULIS)
-    return np.array([[np.kron(a, b).T.reshape(16) for b in paulis] for a in paulis])
-
-
-def correlation_tensor(rho: DensityMatrix) -> Tensor:
-    """The 3x3 correlation tensor T_ij = Tr(rho sigma_i (x) sigma_j), as rows of floats.
-
-    Every correlator of ``rho`` is the bilinear form E(a, b) = a . T b. A Werner state's T is
-    summed in plain Python to the bits of the traces; any other state's T has its imaginary
-    residue checked like that of a Born-rule trace."""
-    if isinstance(rho, WernerState):
-        return _werner_tensor(rho.p)
-    t_mat = _pauli_pairs() @ rho.matrix.reshape(16)
-    _check_real(t_mat, "correlation tensor")
-    return tuple(map(tuple, t_mat.real.tolist()))
 
 
 def singlet_correlator_analytic(a: UnitVector3, b: UnitVector3) -> float:

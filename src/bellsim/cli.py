@@ -14,7 +14,8 @@ import os
 import sys
 
 from .cli_common import SETTINGS_PRESETS, _bound_lines, _exact_table, _fmt9, _result_dict
-from .correlators import MAX_SWEEP_POINTS, MAX_TRIALS, ChshResult, InternalConsistencyError, chsh_value
+from .correlators import MAX_SWEEP_POINTS, MAX_TRIALS, ChshResult, chsh_value
+from .record import InternalConsistencyError
 
 #: Shape of every machine-readable JSON report.
 REPORT_SCHEMA = {

@@ -1,19 +1,19 @@
-"""Exact quantum correlators: measurement settings, the table of the four
-correlators and the CHSH value with its bounds.
+"""Exact quantum correlators: measurement settings, the correlation tensor of
+a state, the table of the four correlators and the CHSH value with its bounds.
 
 This is the part of the quantum engine that every command loads; for the
-Werner states that the commands build it runs on plain Python.
-:mod:`bellsim.chsh` re-exports each name here and adds the Born-rule traces,
-the correlation tensor of any state, the settings search and the Werner
-threshold.
+Werner states that the commands build it runs on plain Python. The tensor of
+any other state comes from :mod:`bellsim.linalg`, imported on the first such
+state. :mod:`bellsim.chsh` re-exports each name here and adds the Born-rule
+traces, the settings search and the Werner threshold.
 """
 
 from __future__ import annotations
 
 import math
 
-from .linalg import Record
 from .observables import UnitVector3, X_AXIS, Z_AXIS, from_polar
+from .record import Record
 from .states import DensityMatrix, WernerState
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
@@ -42,12 +42,6 @@ MAX_SWEEP_POINTS = 10_000
 #: imports nothing else): about 20 and 14 bytes per trial, so the largest run
 #: needs about 2 GB. Larger counts are refused before any draw.
 MAX_TRIALS = 10**8
-
-
-class InternalConsistencyError(RuntimeError):
-    """A Born-rule trace or the correlation tensor came out with a non-negligible imaginary part.
-
-    Raised in :mod:`bellsim.chsh`, and defined here so that the CLI catches it without loading that module."""
 
 
 def _werner_tensor(p: float) -> Tensor:
@@ -120,16 +114,20 @@ def _table(t_mat: Tensor, s: MeasurementSettings) -> CorrelatorTable:
     return CorrelatorTable(*(ax * b.x + ay * b.y + az * b.z for ax, ay, az in rows for b in (s.b1, s.b2)))
 
 
-def correlator_table(rho: DensityMatrix, s: MeasurementSettings) -> CorrelatorTable:
-    """All four correlators e_jk = a_j . T b_k of one configuration, T being :func:`bellsim.chsh.correlation_tensor`.
+def correlation_tensor(rho: DensityMatrix) -> Tensor:
+    """The 3x3 correlation tensor T_ij = Tr(rho sigma_i (x) sigma_j), as rows of floats.
 
-    A Werner state's T is built here. Any other state's comes from :mod:`bellsim.chsh`, imported on
-    the first such state, so the commands, which build only Werner states, do not compile it.
-    """
+    Every correlator of ``rho`` is the bilinear form E(a, b) = a . T b. A Werner state's T is
+    summed in plain Python to the bits of the traces; any other state's T is
+    :func:`bellsim.linalg.born_tensor` of its matrix."""
     if isinstance(rho, WernerState):
-        return _table(_werner_tensor(rho.p), s)
-    from .chsh import correlation_tensor
+        return _werner_tensor(rho.p)
+    import bellsim.linalg as linalg
+    return linalg.born_tensor(rho.matrix)
 
+
+def correlator_table(rho: DensityMatrix, s: MeasurementSettings) -> CorrelatorTable:
+    """All four correlators e_jk = a_j . T b_k of one configuration, T being :func:`correlation_tensor`."""
     return _table(correlation_tensor(rho), s)
 
 

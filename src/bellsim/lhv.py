@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from .correlators import MAX_TRIALS, CorrelatorTable, chsh_value
-from .linalg import Record
 from .patterns import (
     PATTERN_LABELS,
     RESPONSE_PATTERNS,
@@ -27,6 +26,7 @@ from .patterns import (
     deterministic_chsh_values,
     lhv_correlators_exact,
 )
+from .record import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .linalg import ComplexMatrix, Record
+from .record import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
@@ -71,7 +71,8 @@ def spin_observable(n: UnitVector3) -> np.ndarray:
 
     A read-only 2x2 complex128 array: Hermitian, traceless, squaring to 1.
     """
-    return ComplexMatrix(
+    import bellsim.linalg as linalg
+    return linalg.ComplexMatrix(
         [
             [n.z, n.x - 1j * n.y],
             [n.x + 1j * n.y, -n.z],

@@ -12,7 +12,7 @@ import functools
 import math
 
 from .correlators import CorrelatorTable, chsh_value
-from .linalg import Record
+from .record import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:

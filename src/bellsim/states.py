@@ -1,69 +1,36 @@
-"""The two-qubit states under study: the singlet and the Werner family."""
+"""The two-qubit states under study: the singlet and the Werner family, and any
+state given as a 4x4 matrix, whose checks, :class:`StateDiagnostics` included,
+are imported from :mod:`bellsim.linalg` on first use."""
 
 from __future__ import annotations
 
 import functools
 
-from .linalg import HERMITICITY_TOL, ComplexMatrix, Record, hermiticity_defect
+from .record import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     import numpy as np
 
-TRACE_ATOL = 1e-10
-EIGENVALUE_ATOL = 1e-10
+    from .linalg import StateDiagnostics
 
 VISIBILITY_MIN = -1.0 / 3.0
 VISIBILITY_MAX = 1.0
 _VISIBILITY_SLACK = 1e-12
 
 
-class StateDiagnostics(Record):
-    """How far a candidate 4x4 matrix is from being a valid density matrix.
-
-    ``min_eigenvalue`` is computed on the Hermitian part so the report stays
-    meaningful even when the hermiticity check itself fails.
-    """
-
-    __slots__ = ("hermiticity_error", "trace_error", "min_eigenvalue")
-
-    def __init__(self, hermiticity_error: float, trace_error: float, min_eigenvalue: float) -> None:
-        object.__setattr__(self, "hermiticity_error", hermiticity_error)
-        object.__setattr__(self, "trace_error", trace_error)
-        object.__setattr__(self, "min_eigenvalue", min_eigenvalue)
-
-    @property
-    def hermitian_ok(self) -> bool:
-        return self.hermiticity_error <= HERMITICITY_TOL
-
-    @property
-    def trace_ok(self) -> bool:
-        return self.trace_error <= TRACE_ATOL
-
-    @property
-    def positive_ok(self) -> bool:
-        return self.min_eigenvalue >= -EIGENVALUE_ATOL
-
-    @property
-    def is_valid(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.positive_ok
+def __getattr__(name: str):
+    """``StateDiagnostics`` from :mod:`bellsim.linalg`, where the checks that make it are."""
+    if name != "StateDiagnostics":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import bellsim.linalg as linalg
+    return linalg.StateDiagnostics
 
 
 def validate(matrix) -> StateDiagnostics:
     """Diagnose a candidate two-qubit state, any 4x4 array-like of finite entries, without raising on failure."""
-    return _diagnose(ComplexMatrix(matrix))
-
-
-def _diagnose(m: np.ndarray) -> StateDiagnostics:
-    """:func:`validate` on a matrix that :func:`ComplexMatrix` already copied and checked."""
-    import numpy as np
-    if m.shape != (4, 4):
-        raise ValueError("a two-qubit state must be 4x4")
-    return StateDiagnostics(
-        hermiticity_error=hermiticity_defect(m),
-        trace_error=abs(complex(np.trace(m)) - 1.0),
-        min_eigenvalue=float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]),
-    )
+    import bellsim.linalg as linalg
+    return linalg._diagnose(linalg.ComplexMatrix(matrix))
 
 
 class DensityMatrix(Record):
@@ -78,15 +45,8 @@ class DensityMatrix(Record):
     __hash__ = object.__hash__
 
     def __init__(self, matrix) -> None:
-        object.__setattr__(self, "matrix", ComplexMatrix(matrix))
-        diag = _diagnose(self.matrix)
-        if not diag.is_valid:
-            raise ValueError(
-                "invalid density matrix: "
-                f"hermiticity error {diag.hermiticity_error:.3e}, "
-                f"trace error {diag.trace_error:.3e}, "
-                f"min eigenvalue {diag.min_eigenvalue:.3e}"
-            )
+        import bellsim.linalg as linalg
+        object.__setattr__(self, "matrix", linalg.checked_state(matrix))
 
 
 class WernerState(DensityMatrix):
@@ -104,7 +64,8 @@ class WernerState(DensityMatrix):
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return ComplexMatrix(werner_matrix(self.p))
+        import bellsim.linalg as linalg
+        return linalg.ComplexMatrix(werner_matrix(self.p))
 
     def __repr__(self) -> str:
         return f"WernerState(p={self.p!r})"

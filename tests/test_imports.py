@@ -58,7 +58,62 @@ def test_package_import_loads_no_submodule():
 def test_submodule_attribute_after_a_bare_import():
     """``bellsim.chsh`` imports the submodule, and its dependencies only, on first access."""
     code = f"import json, sys, bellsim\nvalue = bellsim.chsh.chsh_value\nprint({_SUBMODULES})"
-    assert json.loads(_fresh(code)) == ["bellsim.chsh", "bellsim.correlators", "bellsim.linalg", "bellsim.observables", "bellsim.states"]
+    assert json.loads(_fresh(code)) == ["bellsim.chsh", "bellsim.correlators", "bellsim.observables", "bellsim.record", "bellsim.states"]
+
+
+def test_a_matrix_state_loads_linalg_and_not_chsh():
+    """The tensor of a state given as a matrix comes from ``linalg``, imported downward by ``correlators``."""
+    code = (
+        "import json, sys\nimport numpy as np\n"
+        "from bellsim.correlators import correlation_tensor, correlator_table, singlet_optimal_settings\n"
+        "from bellsim.states import DensityMatrix\n"
+        "g = np.random.default_rng(2201).normal(size=(4, 8)).view(np.complex128)\n"
+        "m = g @ g.conj().T\n"
+        "rho = DensityMatrix(m / np.trace(m).real)\n"
+        "correlator_table(rho, singlet_optimal_settings())\n"
+        "correlation_tensor(rho)\n"
+        f"print({_SUBMODULES})"
+    )
+    assert json.loads(_fresh(code)) == ["bellsim.correlators", "bellsim.linalg", "bellsim.observables",
+                                        "bellsim.record", "bellsim.states"]
+
+
+def test_singlet_and_werner_library_calls_load_no_linalg():
+    code = (
+        "import json, sys\n"
+        "from bellsim.chsh import chsh_quantum, correlation_tensor, correlator_table, horodecki_max_s\n"
+        "from bellsim.chsh import optimize_settings, werner_threshold\n"
+        "from bellsim.lhv import sample_quantum_experiment\n"
+        "from bellsim.states import make_singlet, make_werner\n"
+        "for rho in (make_singlet(), make_werner(0.8), make_werner(-0.25)):\n"
+        "    best = optimize_settings(rho)\n"
+        "    correlation_tensor(rho), horodecki_max_s(rho), chsh_quantum(rho, best.settings)\n"
+        "    sample_quantum_experiment(correlator_table(rho, best.settings), n_trials=10, seed=1)\n"
+        "werner_threshold()\n"
+        f"print({_SUBMODULES})"
+    )
+    assert "bellsim.linalg" not in json.loads(_fresh(code))
+
+
+def test_no_module_imports_one_that_imports_it_back():
+    """Every import between bellsim modules, at load time or inside a function, points one way."""
+    import ast
+
+    graph = {}
+    for path in (SRC / "bellsim").glob("*.py"):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets |= {node.module} if node.module else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                targets |= {a.name.split(".")[1] for a in node.names if a.name.startswith("bellsim.")}
+        graph[path.stem] = targets
+    assert graph["linalg"] == {"record"} and graph["record"] == set()
+    order: list[str] = []  # a topological order exists iff the graph has no cycle
+    while len(order) < len(graph):
+        ready = sorted(m for m in graph if m not in order and graph[m] <= set(order))
+        assert ready, {m: graph[m] - set(order) for m in graph if m not in order}
+        order += ready
 
 
 #: The bellsim modules that every command loads besides ``cli.py``, which ``python -m bellsim.cli``
@@ -66,7 +121,7 @@ def test_submodule_attribute_after_a_bare_import():
 #: and the states, directions and records under them. No command imports ``bellsim.cli``, which
 #: would compile and run ``cli.py`` a second time, so no row lists it and an import of it fails
 #: the row.
-CORE = ("bellsim.cli_common", "bellsim.correlators", "bellsim.linalg", "bellsim.observables", "bellsim.states")
+CORE = ("bellsim.cli_common", "bellsim.correlators", "bellsim.observables", "bellsim.record", "bellsim.states")
 #: What the other commands add: the settings search and its runners, the exact LHV models and
 #: the runners of lhv and sample, the samplers, and the config and CSV formats.
 SEARCH = ("bellsim.chsh", "bellsim.cli_search")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bellsim.chsh import _PAULIS, born_expectation, quantum_correlator
-from bellsim.linalg import ComplexMatrix, min_eigenvalue_hermitian
+from bellsim.chsh import born_expectation, quantum_correlator
+from bellsim.linalg import _PAULIS, ComplexMatrix, min_eigenvalue_hermitian
 from bellsim.observables import X_AXIS, Z_AXIS, spin_observable
 from bellsim.states import DensityMatrix, make_singlet, werner_matrix
 

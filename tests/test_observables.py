@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.chsh import _PAULIS
+from bellsim.linalg import _PAULIS
 from bellsim.observables import (
     UnitVector3,
     X_AXIS,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.chsh import _PAULIS, born_expectation, correlation_tensor
-from bellsim.linalg import ComplexMatrix, min_eigenvalue_hermitian
+from bellsim.chsh import born_expectation, correlation_tensor
+from bellsim.linalg import _PAULIS, ComplexMatrix, min_eigenvalue_hermitian
 from bellsim.states import (
     DensityMatrix,
     make_singlet,
@@ -175,7 +175,7 @@ def test_each_state_copies_and_checks_its_array_once(monkeypatch):
         calls.append(entries)
         return ComplexMatrix(entries)
 
-    monkeypatch.setattr("bellsim.states.ComplexMatrix", counting)
+    monkeypatch.setattr("bellsim.linalg.ComplexMatrix", counting)
     # A Werner state copies and checks nothing until its matrix is first read, then keeps that copy.
     for build in (make_singlet, lambda: make_werner(0.5)):
         calls.clear()
