@@ -146,6 +146,6 @@ def _write_log_if_requested(cfg: argparse.Namespace, log) -> str | None:
         return None
     from .lhv import write_trial_log
 
-    with open(cfg.trial_log, "w", encoding="ascii") as stream:
+    with open(cfg.trial_log, "wb") as stream:
         write_trial_log(log, stream)
     return cfg.trial_log

@@ -1,18 +1,21 @@
 """The ``optimize`` and ``werner-sweep`` commands: the settings search and the
 threshold bisection of :mod:`bellsim.chsh`, which :mod:`bellsim.cli` imports
-only for these two."""
+only for these two. Each imports :mod:`bellsim.chsh` once its options have
+passed their checks, so a usage error compiles no search."""
 
 from __future__ import annotations
 
 import argparse
 
-from .chsh import THRESHOLD_TOL, optimize_settings_traced, werner_threshold
 from .cli_common import _bound_lines, _fmt9, _result_dict, _settings_dict, parse_state_spec
 from .states import VISIBILITY_MAX, VISIBILITY_MIN, make_werner
 
 
 def _run_optimize(cfg: argparse.Namespace):
-    result, trace_info = optimize_settings_traced(parse_state_spec(cfg.state))
+    state = parse_state_spec(cfg.state)
+    from .chsh import optimize_settings_traced
+
+    result, trace_info = optimize_settings_traced(state)
     settings = _settings_dict(result.settings)
     report = {
         "command": "optimize",
@@ -39,6 +42,8 @@ def _run_optimize(cfg: argparse.Namespace):
 def _run_werner_sweep(cfg: argparse.Namespace):
     if not (VISIBILITY_MIN <= cfg.p_min < cfg.p_max <= VISIBILITY_MAX):
         raise ValueError(f"sweep range needs -1/3 <= p_min < p_max <= 1, got p_min={cfg.p_min}, p_max={cfg.p_max}")
+    from .chsh import THRESHOLD_TOL, optimize_settings_traced, werner_threshold
+
     step = (cfg.p_max - cfg.p_min) / (cfg.points - 1)
     threshold = werner_threshold()
     # The grid's last row is p_max itself: p_min + (points - 1) * step can round past it.

@@ -137,9 +137,13 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
 
     The first is computed as numpy documents ``choice``: ``cdf =
     weights.cumsum(); cdf /= cdf[-1]``, and each index counts the ``cdf``
-    entries at or below its ``rng.random()`` draw. ``n_trials`` must lie in
-    ``[1, MAX_TRIALS]``. Returns the estimate and the trials as a
-    :class:`TrialLog`.
+    entries at or below its ``rng.random()`` draw. In the generator's raw
+    64-bit words ``w_0, w_1, ...`` (``rng.bit_generator.random_raw``), trial
+    ``i`` draws ``u_i = (w_i >> 11) * 2**-53`` for its pattern, and the
+    settings are ``1 + (h >> 31)`` for the 32-bit halves ``h`` of words ``n``
+    to ``2n - 1``, low half first: the ``n`` A settings, then the ``n`` B
+    settings. ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the
+    estimate and the trials as a :class:`TrialLog`.
     """
     import numpy as np
     _check_trials(n_trials)
@@ -178,8 +182,14 @@ def sample_quantum_experiment(
     - the correlation coin ``rng.random(n_trials) < (1 + e_jk)/2``; where
       it is true, B's outcome equals A's, otherwise it is the opposite.
 
-    ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the estimate and
-    the trials as a :class:`TrialLog`.
+    In the generator's raw 64-bit words ``w_0, w_1, ...``
+    (``rng.bit_generator.random_raw``) with their 32-bit halves ``h_0, h_1,
+    ...``, low half first, trial ``i`` of ``n`` has the A setting
+    ``1 + (h_i >> 31)``, the B setting ``1 + (h_{n+i} >> 31)``, A's outcome
+    ``2 * (h_{2n+i} >> 31) - 1`` and the coin ``(w_{m+i} >> 11) < (1 +
+    e_jk) * 2**52`` with ``m = ceil(3n/2)``, the first whole word after the
+    halves. ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the
+    estimate and the trials as a :class:`TrialLog`.
     """
     import numpy as np
     _check_trials(n_trials)
@@ -199,8 +209,8 @@ TRIAL_LOG_HEADER = ("trial", "a_setting", "b_setting", "a_outcome", "b_outcome")
 _BLOCK = 10**4
 
 
-def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
-    """Write trials as CSV: a header, then one row per trial numbered from 0.
+def write_trial_log(log: TrialLog, stream: IO[bytes]) -> None:
+    """Write trials as ASCII CSV to a binary stream: a header, then one row per trial numbered from 0.
 
     The rows are formatted in blocks of 10^4 trials as NUL-padded records of
     three byte-string fields, then the NULs are dropped. In the block
@@ -217,7 +227,7 @@ def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
     padded = (low // place % 10 + ord("0")).astype(np.uint8)
     unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
     padded, unpadded = padded.view("S4")[:, 0], unpadded.view("S4")[:, 0]
-    stream.write(",".join(TRIAL_LOG_HEADER) + "\n")
+    stream.write(",".join(TRIAL_LOG_HEADER).encode() + b"\n")
     for start in range(0, len(log), _BLOCK):
         a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._values())
         code = 4 * _pair_index(a_set, b_set) + 2 * (a_out < 0) + (b_out < 0)
@@ -226,4 +236,4 @@ def write_trial_log(log: TrialLog, stream: IO[str]) -> None:
         rows["high"] = high
         rows["low"] = (padded if start else unpadded)[:len(code)]
         rows["tail"] = row_tails.take(code)
-        stream.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+        stream.write(rows.tobytes().translate(None, b"\0"))

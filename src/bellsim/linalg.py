@@ -44,17 +44,17 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(abs(a - a.conj().T).max())
 
 
-def min_eigenvalue_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
+def min_eigenvalue_hermitian(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
-    Input whose hermiticity defect exceeds ``tol`` (entrywise) is rejected;
+    Input whose hermiticity defect exceeds ``HERMITICITY_TOL`` (entrywise) is rejected;
     accuracy of the returned eigenvalue is limited only by the dense solver,
     far below 1e-10 at these dimensions.
     """
     import numpy as np
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     return float(np.linalg.eigvalsh(a)[0])
 
 

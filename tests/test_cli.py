@@ -699,7 +699,6 @@ def test_sweep_points_above_max_exit_two_before_searching(capsys, tmp_path, monk
     def no_search(*args, **kwargs):
         raise _Searched
 
-    monkeypatch.setattr("bellsim.cli_search.optimize_settings_traced", no_search)
     monkeypatch.setattr("bellsim.chsh.optimize_settings_traced", no_search)
     if via_config:
         cfg = tmp_path / "run.cfg"
@@ -732,8 +731,7 @@ def test_integer_out_of_range_exits_two_naming_the_option(
     def no_work(*args, **kwargs):
         raise _Searched
 
-    for target in ("bellsim.cli_search.optimize_settings_traced", "bellsim.chsh.optimize_settings_traced",
-                   "numpy.random.default_rng"):
+    for target in ("bellsim.chsh.optimize_settings_traced", "numpy.random.default_rng"):
         monkeypatch.setattr(target, no_work)
     cfg = tmp_path / "run.cfg"
     for value in (low - 1, high + 1):

@@ -168,8 +168,8 @@ PLAIN_RUNS = [
     (["chsch", "--preset", "optimal"], 2, ()),
     ([], 2, ()),
     (["chsh", "--config", "bad.cfg", "--preset", "optimal"], 2, FORMATS),
-    (["optimize", "--state", "bell"], 2, SEARCH),
-    (["werner-sweep", "--p-min", "0.5", "--p-max", "0.2"], 2, SEARCH),
+    (["optimize", "--state", "bell"], 2, ("bellsim.cli_search",)),
+    (["werner-sweep", "--p-min", "0.5", "--p-max", "0.2"], 2, ("bellsim.cli_search",)),
     (["sample", "--preset", "optimal"], 2, ("bellsim.cli_lhv",)),
     (["lhv", "--exhaustive", "--trials", "5"], 2, ("bellsim.cli_lhv",)),
     (["lhv", "--weights", *WEIGHTS[1:], "2"], 2, EXACT_LHV),

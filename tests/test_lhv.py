@@ -274,12 +274,12 @@ def test_std_error_formula():
 
 def test_trial_log_format():
     records = TrialLog([1, 2], [2, 1], [1, -1], [-1, -1])
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trial_log(records, buf)
     assert buf.getvalue() == (
-        "trial,a_setting,b_setting,a_outcome,b_outcome\n"
-        "0,1,2,1,-1\n"
-        "1,2,1,-1,-1\n"
+        b"trial,a_setting,b_setting,a_outcome,b_outcome\n"
+        b"0,1,2,1,-1\n"
+        b"1,2,1,-1,-1\n"
     )
 
 
@@ -288,7 +288,7 @@ def test_trial_log_bytes_identical_for_same_seed():
     outputs = []
     for _ in range(2):
         _, records = sample_lhv_experiment(model, 10000, seed=31)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_trial_log(records, buf)
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]

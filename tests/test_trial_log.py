@@ -27,10 +27,10 @@ def columns(log: TrialLog) -> tuple[np.ndarray, ...]:
     return (log.a_setting, log.b_setting, log.a_outcome, log.b_outcome)
 
 
-def row_writer(log: TrialLog) -> str:
+def row_writer(log: TrialLog) -> bytes:
     """The trial log CSV written one row at a time: the oracle of the block writer."""
     rows = zip(range(len(log)), *(c.tolist() for c in columns(log)))
-    return "".join(",".join(map(str, row)) + "\n" for row in [TRIAL_LOG_HEADER, *rows])
+    return "".join(",".join(map(str, row)) + "\n" for row in [TRIAL_LOG_HEADER, *rows]).encode()
 
 
 def test_columns_are_int8():
@@ -118,10 +118,18 @@ def test_single_trial_report_has_null_errors(capsys):
 def test_block_writer_matches_row_writer(n):
     """The block writer of a TrialLog gives the bytes of the row-by-row writer."""
     _, log = sample_lhv_experiment(LhvModel.uniform16(), n, seed=n)
-    blocks = io.StringIO()
+    blocks = io.BytesIO()
     write_trial_log(log, blocks)
     assert blocks.getvalue() == row_writer(log)
     assert blocks.tell() == len(blocks.getvalue())
+
+
+def test_text_stream_fails_at_the_header():
+    """The log is bytes: a text stream refuses the header, so nothing is written to it."""
+    text = io.StringIO()
+    with pytest.raises(TypeError):
+        write_trial_log(TrialLog([1], [2], [1], [-1]), text)
+    assert text.getvalue() == ""
 
 
 @settings(max_examples=250, deadline=None)
@@ -130,10 +138,10 @@ def test_trial_log_roundtrip(n, seed):
     """Random valid columns across the 10^4-row block boundary survive the CSV unchanged."""
     rng = np.random.default_rng(seed)
     log = TrialLog(*rng.integers(1, 3, size=(2, n)), *(2 * rng.integers(0, 2, size=(2, n)) - 1))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trial_log(log, buf)
     assert buf.getvalue() == row_writer(log)
-    table = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    table = np.loadtxt(io.BytesIO(buf.getvalue()), delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
     assert np.array_equal(table[:, 0], np.arange(n))
     back = TrialLog(*table[:, 1:].T)
     assert back == log
