@@ -4,6 +4,13 @@ This module parses the command line and runs ``chsh``. Each other command's
 runner, and the config file and CSV formats, are in modules imported only
 when they run, so a process compiles no runner but its own: where Python
 writes no bytecode, every module a process loads is compiled again.
+
+A runner takes the parsed options and returns ``(inputs, results,
+diagnostics, summary, rows)``: the report's three sections, the human
+summary lines, and the CSV rows (None for ``key,value`` CSV). Only
+:func:`_run` builds the report around them, so every report has one shape:
+``command``, then ``inputs`` ending with ``seed``, ``results`` and
+``diagnostics``.
 """
 
 from __future__ import annotations
@@ -17,12 +24,21 @@ from .cli_common import SETTINGS_PRESETS, _bound_lines, _exact_table, _fmt9, _re
 from .correlators import MAX_SWEEP_POINTS, MAX_TRIALS, ChshResult, chsh_value
 from .record import InternalConsistencyError
 
+#: Each subcommand and its help line, in the order ``bellsim --help`` lists them.
+_COMMANDS = {
+    "chsh": "evaluate the CHSH value at fixed settings",
+    "optimize": "maximize |S| over measurement directions",
+    "werner-sweep": "max |S| across Werner visibilities plus the violation threshold",
+    "lhv": "exact and sampled hidden-variable statistics",
+    "sample": "finite-statistics experiment on a quantum correlator table",
+}
+
 #: Shape of every machine-readable JSON report.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["command", "inputs", "results", "diagnostics"],
     "properties": {
-        "command": {"enum": ["chsh", "optimize", "werner-sweep", "lhv", "sample"]},
+        "command": {"enum": list(_COMMANDS)},
         "inputs": {"type": "object"},
         "results": {"type": "object"},
         "diagnostics": {"type": "object"},
@@ -136,16 +152,20 @@ def _machine_text(cfg: argparse.Namespace, report: dict, csv_rows: list[tuple] |
 def _run_chsh(cfg: argparse.Namespace):
     table, settings, inputs = _exact_table(cfg)
     result = ChshResult(chsh_value(table), settings)
-    report = {
-        "command": "chsh",
-        "inputs": {**inputs, "seed": cfg.seed},
-        "results": {"correlators": table.as_dict(), **_result_dict(result)},
-        "diagnostics": {},
-    }
     human = [f"chsh  state={cfg.state}"]
     human.extend(f"{k} = {_fmt9(v)}" for k, v in table.as_dict().items())
     human.extend(_bound_lines(result))
-    return report, human, None
+    return inputs, {"correlators": table.as_dict(), **_result_dict(result)}, {}, human, None
+
+
+def _check_paths(cfg: argparse.Namespace) -> None:
+    """Refuse, before any work, two of --config, --out and --trial-log naming one file: an output would overwrite it."""
+    seen = {}
+    for key in ("config", "out", "trial_log"):
+        if path := getattr(cfg, key, None):
+            flag = f"--{key.replace('_', '-')} {path}"
+            if (first := seen.setdefault(os.path.realpath(path), flag)) != flag:
+                raise ValueError(f"{first} and {flag} name the same file")
 
 
 def _run(cfg: argparse.Namespace):
@@ -153,9 +173,10 @@ def _run(cfg: argparse.Namespace):
 
     The runners of the other commands are imported here, when their command runs.
     """
+    _check_paths(cfg)
     if cfg.command == "chsh":
-        return _run_chsh(cfg)
-    if cfg.command == "optimize":
+        runner = _run_chsh
+    elif cfg.command == "optimize":
         from .cli_search import _run_optimize as runner
     elif cfg.command == "werner-sweep":
         from .cli_search import _run_werner_sweep as runner
@@ -163,7 +184,10 @@ def _run(cfg: argparse.Namespace):
         from .cli_lhv import _run_lhv as runner
     else:
         from .cli_lhv import _run_sample as runner
-    return runner(cfg)
+    inputs, results, diagnostics, human, rows = runner(cfg)
+    report = {"command": cfg.command, "inputs": {**inputs, "seed": cfg.seed}, "results": results,
+              "diagnostics": diagnostics}
+    return report, human, rows
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -175,16 +199,6 @@ def _add_option(p: argparse.ArgumentParser, key: str, **overrides) -> None:
     if "default" in spec:
         spec["help"] += f" (default {spec['default']})"
     p.add_argument("--" + key.replace("_", "-"), **spec)
-
-
-#: Each subcommand and its help line, in the order ``bellsim --help`` lists them.
-_COMMANDS = {
-    "chsh": "evaluate the CHSH value at fixed settings",
-    "optimize": "maximize |S| over measurement directions",
-    "werner-sweep": "max |S| across Werner visibilities plus the violation threshold",
-    "lhv": "exact and sampled hidden-variable statistics",
-    "sample": "finite-statistics experiment on a quantum correlator table",
-}
 
 
 def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:

@@ -11,6 +11,9 @@ import re
 #: or else a value up to the first '#'; a '#' after the value starts a comment.
 _LINE = re.compile(r"""([^#=]*)=\s*(?:(["'])(?P<quoted>.*?)\2|(?P<bare>[^#]*?))\s*(?:#.*)?""")
 
+#: The most characters a config file may hold: a longer one is refused after reading one more, not read to its end.
+_MAX_CONFIG_CHARS = 65536
+
 
 def _parse_config_file(path: str, args: argparse.Namespace, keys) -> list[str]:
     """Turn a flat ``key = value`` file into ``--key=value`` tokens.
@@ -18,13 +21,16 @@ def _parse_config_file(path: str, args: argparse.Namespace, keys) -> list[str]:
     Matching quotes around a value are stripped, a '#' outside them starts
     a comment, and dashes and underscores mix in keys. A key that is not one
     of ``keys`` or not an option of the subcommand parsed into ``args`` is
-    refused with its file:line.
+    refused with its file:line, and so is a file of more than
+    :data:`_MAX_CONFIG_CHARS` characters.
     """
     try:
         with open(path) as stream:
-            text = stream.read()
+            text = stream.read(_MAX_CONFIG_CHARS + 1)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    if len(text) > _MAX_CONFIG_CHARS:
+        raise ValueError(f"config file {path} holds more than {_MAX_CONFIG_CHARS} characters")
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.split("#", 1)[0].strip():
@@ -44,8 +50,6 @@ def _csv_scalar(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, str) and any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
     return str(value)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 
 from .cli_common import _exact_table, _fmt9
 from .correlators import chsh_value
@@ -25,15 +24,7 @@ def _estimate_dict(estimate) -> dict:
     }
 
 
-def _check_log_path(cfg: argparse.Namespace) -> None:
-    """Refuse one file for the report and the trial log, which the report would overwrite, before any work."""
-    log = cfg.trial_log
-    if log and cfg.out and os.path.realpath(log) == os.path.realpath(cfg.out):
-        raise ValueError(f"--out {cfg.out} and --trial-log {log} name the same file")
-
-
 def _run_lhv(cfg: argparse.Namespace):
-    _check_log_path(cfg)
     chosen = sum([cfg.exhaustive, cfg.preset is not None, cfg.weights is not None])
     if chosen != 1:
         raise ValueError("give exactly one of --exhaustive, --preset, or --weights")
@@ -53,22 +44,13 @@ def _run_lhv(cfg: argparse.Namespace):
         # The bound enumerates the 16 patterns; the per-pattern values are its cached enumeration.
         bound = classical_bound_exhaustive()
         values = deterministic_chsh_values()
-        report = {
-            "command": "lhv",
-            "inputs": {"model": "exhaustive", "seed": cfg.seed},
-            "results": {
-                "classical_bound": bound,
-                "pattern_labels": list(PATTERN_LABELS),
-                "pattern_values": list(values),
-            },
-            "diagnostics": {"patterns": len(values)},
-        }
+        results = {"classical_bound": bound, "pattern_labels": list(PATTERN_LABELS), "pattern_values": list(values)}
         human = [
             "lhv exhaustive enumeration of deterministic strategies",
             f"classical bound max|S| = {_fmt9(bound)}",
             "per-pattern S values: " + " ".join(_fmt9(v) for v in values),
         ]
-        return report, human, None
+        return {"model": "exhaustive"}, results, {"patterns": len(values)}, human, None
 
     if cfg.preset is not None:
         model, model_name = LhvModel.uniform16(), "uniform16"
@@ -76,12 +58,7 @@ def _run_lhv(cfg: argparse.Namespace):
         model, model_name = LhvModel.from_pattern_weights(cfg.weights), "weights"
     table = lhv_correlators_exact(model)
     s = chsh_value(table)
-    results = {
-        "exact_table": table.as_dict(),
-        "s_value": s,
-        "abs_s": abs(s),
-        "estimate": None,
-    }
+    results = {"exact_table": table.as_dict(), "s_value": s, "abs_s": abs(s), "estimate": None}
     human = [f"lhv  model={model_name}"]
     human.extend(f"{k} = {_fmt9(v)}" for k, v in table.as_dict().items())
     human.append(f"S   = {_fmt9(s)}")
@@ -96,22 +73,11 @@ def _run_lhv(cfg: argparse.Namespace):
             f"sampled S = {_fmt9(estimate.s_estimate)} +- {_fmt9(estimate.s_std_error)} "
             f"({cfg.trials} trials, seed {cfg.seed})"
         )
-    report = {
-        "command": "lhv",
-        "inputs": {
-            "model": model_name,
-            "weights": list(model.weights),
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-        },
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-    return report, human, None
+    inputs = {"model": model_name, "weights": list(model.weights), "trials": cfg.trials}
+    return inputs, results, diagnostics, human, None
 
 
 def _run_sample(cfg: argparse.Namespace):
-    _check_log_path(cfg)
     if cfg.trials is None:
         raise ValueError("sample requires --trials")
     exact, _, inputs = _exact_table(cfg)
@@ -120,16 +86,7 @@ def _run_sample(cfg: argparse.Namespace):
     exact_s = chsh_value(exact)
     estimate, log = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
     log_path = _write_log_if_requested(cfg, log)
-    report = {
-        "command": "sample",
-        "inputs": {**inputs, "trials": cfg.trials, "seed": cfg.seed},
-        "results": {
-            "exact_table": exact.as_dict(),
-            "exact_s": exact_s,
-            "estimate": _estimate_dict(estimate),
-        },
-        "diagnostics": {"trial_log": log_path},
-    }
+    results = {"exact_table": exact.as_dict(), "exact_s": exact_s, "estimate": _estimate_dict(estimate)}
     human = [
         f"sample  state={cfg.state}  trials={cfg.trials}  seed={cfg.seed}",
         f"exact S     = {_fmt9(exact_s)}",
@@ -138,7 +95,7 @@ def _run_sample(cfg: argparse.Namespace):
     ]
     if log_path:
         human.append(f"trial log written to {log_path}")
-    return report, human, None
+    return {**inputs, "trials": cfg.trials}, results, {"trial_log": log_path}, human, None
 
 
 def _write_log_if_requested(cfg: argparse.Namespace, log) -> str | None:

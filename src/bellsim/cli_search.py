@@ -17,18 +17,8 @@ def _run_optimize(cfg: argparse.Namespace):
 
     result, trace_info = optimize_settings_traced(state)
     settings = _settings_dict(result.settings)
-    report = {
-        "command": "optimize",
-        "inputs": {
-            "state": cfg.state,
-            "seed": cfg.seed,
-        },
-        "results": {**_result_dict(result), "settings": settings},
-        "diagnostics": {
-            "singular_values": list(trace_info.singular_values),
-            "optimality_gap": trace_info.optimality_gap,
-        },
-    }
+    results = {**_result_dict(result), "settings": settings}
+    diagnostics = {"singular_values": list(trace_info.singular_values), "optimality_gap": trace_info.optimality_gap}
     human = [f"optimize  state={cfg.state}"]
     human.extend(_bound_lines(result))
     human.extend(f"{name}: theta = {_fmt9(d['theta'])}, phi = {_fmt9(d['phi'])}" for name, d in settings.items())
@@ -36,7 +26,7 @@ def _run_optimize(cfg: argparse.Namespace):
         "singular values of T: " + " ".join(_fmt9(v) for v in trace_info.singular_values)
         + f"; gap to the Horodecki maximum {trace_info.optimality_gap:.3g}"
     )
-    return report, human, None
+    return {"state": cfg.state}, results, diagnostics, human, None
 
 
 def _run_werner_sweep(cfg: argparse.Namespace):
@@ -53,24 +43,13 @@ def _run_werner_sweep(cfg: argparse.Namespace):
         result, trace_info = optimize_settings_traced(make_werner(p))
         rows.append({"p": p, "max_s": result.s_value, "violates": result.violates_classical})
         gaps.append(trace_info.optimality_gap)
-    report = {
-        "command": "werner-sweep",
-        "inputs": {
-            "p_min": cfg.p_min,
-            "p_max": cfg.p_max,
-            "points": cfg.points,
-            "seed": cfg.seed,
-        },
-        "results": {"rows": rows[:-1], "threshold": threshold, "threshold_row": rows[-1]},
-        "diagnostics": {
-            "bisection_tol": THRESHOLD_TOL,
-            "optimality_gap": gaps[:-1],
-            "threshold_row_optimality_gap": gaps[-1],
-        },
-    }
+    inputs = {"p_min": cfg.p_min, "p_max": cfg.p_max, "points": cfg.points}
+    results = {"rows": rows[:-1], "threshold": threshold, "threshold_row": rows[-1]}
+    diagnostics = {"bisection_tol": THRESHOLD_TOL, "optimality_gap": gaps[:-1],
+                   "threshold_row_optimality_gap": gaps[-1]}
     human = [
         f"werner-sweep  {cfg.points} points on [{_fmt9(cfg.p_min)}, {_fmt9(cfg.p_max)}]",
         f"threshold p* = {_fmt9(threshold)}  (max S there = {_fmt9(rows[-1]['max_s'])})",
         f"max S at p = {_fmt9(rows[-2]['p'])}: {_fmt9(rows[-2]['max_s'])}",
     ]
-    return report, human, [("p", "max_s", "violates"), *(tuple(r.values()) for r in rows)]
+    return inputs, results, diagnostics, human, [("p", "max_s", "violates"), *(tuple(r.values()) for r in rows)]

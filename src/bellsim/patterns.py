@@ -36,6 +36,8 @@ class LhvModel(Record):
     __slots__ = ("weights",)
 
     def __init__(self, weights: tuple[float, ...]) -> None:
+        # A tuple of floats of its own: hashable, equal however it was given, and out of the caller's reach.
+        weights = tuple(float(w) for w in weights)
         if len(weights) != 16:
             raise ValueError(f"need 16 pattern weights, got {len(weights)}")
         # Checked before the sum: math.fsum overflows on weights such as 1e308 + 1e308.
@@ -57,7 +59,7 @@ class LhvModel(Record):
     @classmethod
     def from_pattern_weights(cls, weights: Sequence[float]) -> "LhvModel":
         """The model with these 16 weights, each converted to float."""
-        return cls(weights=tuple(float(w) for w in weights))
+        return cls(weights)
 
     @classmethod
     def uniform16(cls) -> "LhvModel":

@@ -24,10 +24,14 @@ def run_cli(capsys, *args):
 
 
 def run_json(capsys, *args):
+    """The report of a successful run, checked for the one shape every report has."""
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
+    assert list(report) == ["command", "inputs", "results", "diagnostics"]
+    assert report["command"] == args[0]
+    assert list(report["inputs"])[-1] == "seed"
     return report
 
 
@@ -369,6 +373,33 @@ def test_out_and_trial_log_naming_one_file_exit_two_before_drawing(capsys, tmp_p
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if via_config else [])
 
 
+#: Each way an output can name the config file run.cfg: a flag in either spelling, or an out line in the file itself.
+SAME_AS_CONFIG = [(command, option, spelling) for command in ("chsh", "sample")
+                  for option in (("--out", "--trial-log") if command == "sample" else ("--out",))
+                  for spelling in ("relative", "absolute", "config line")
+                  if not (option == "--trial-log" and spelling == "config line")]
+
+
+@pytest.mark.parametrize("command, option, spelling", SAME_AS_CONFIG, ids=[" ".join(c) for c in SAME_AS_CONFIG])
+def test_an_output_naming_the_config_file_exits_two_and_leaves_it(capsys, tmp_path, monkeypatch, command, option,
+                                                                   spelling):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built although an output would overwrite the config")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.chdir(tmp_path)
+    text = "preset = optimal\n" + ("out = ./run.cfg\n" if spelling == "config line" else "")
+    Path("run.cfg").write_text(text)
+    extra = {"relative": [option, "run.cfg"], "absolute": [option, str(tmp_path / "run.cfg")]}.get(spelling, [])
+    trials = ["--trials", "5"] if command == "sample" else []
+    code, out, err = run_cli(capsys, command, *trials, "--config", "run.cfg", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --config run.cfg and {option} ") and err.endswith(" name the same file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert Path("run.cfg").read_text() == text
+
+
 def test_csv_keyvalue_format(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--state", "singlet", "--preset", "optimal",
                            "--format", "csv")
@@ -466,6 +497,26 @@ def test_config_accepts_integral_float(capsys, tmp_path):
         assert report["inputs"]["seed"] == seed
 
 
+def test_config_file_size_is_capped(capsys, tmp_path):
+    """A file of more than 64 KiB characters is refused; one of exactly that many, comments and all, is read."""
+    from bellsim.cli_formats import _MAX_CONFIG_CHARS
+
+    assert _MAX_CONFIG_CHARS == 64 * 1024
+    cfg = tmp_path / "run.cfg"
+    head = "preset = optimal\nseed = 7\n"
+    comment = "# " + "x" * 61 + "\n"
+    filler = comment * ((_MAX_CONFIG_CHARS - len(head)) // len(comment))
+    at_cap = head + filler + "#" * (_MAX_CONFIG_CHARS - len(head) - len(filler) - 1) + "\n"
+    assert len(at_cap) == _MAX_CONFIG_CHARS
+    cfg.write_text(at_cap)
+    assert run_json(capsys, "chsh", "--config", str(cfg))["inputs"]["seed"] == 7
+    cfg.write_text(at_cap + "\n")
+    code, out, err = run_cli(capsys, "chsh", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config file {cfg} holds more than {_MAX_CONFIG_CHARS} characters\n"
+
+
 @pytest.mark.parametrize("key", ["theta_divisions", "phi-divisions", "restarts"])
 def test_config_rejects_removed_grid_keys(capsys, tmp_path, key):
     cfg = tmp_path / "run.cfg"
@@ -498,6 +549,8 @@ def test_reports_validate_against_schema(capsys):
     run_json(capsys, "optimize", "--state", "werner:0.3")
     run_json(capsys, "werner-sweep", "--points", "3", "--p-min", "0.2", "--p-max", "0.4")
     run_json(capsys, "lhv", "--exhaustive")
+    run_json(capsys, "lhv", "--preset", "uniform16")
+    run_json(capsys, "lhv", "--preset", "uniform16", "--trials", "100")
     run_json(capsys, "sample", "--preset", "optimal", "--trials", "100")
 
 

@@ -3,13 +3,15 @@
 Criterion 8 only compares two runs of one build. The sampled digests were
 recorded with the list-of-records samplers that preceded ``TrialLog``, so any
 later change to the draw order, the estimate arithmetic, the report or the
-log format shows up here. The exact cases (``optimize`` and ``werner-sweep``
-on Werner states, whose correlation tensor is exactly diagonal, and the
-exhaustive ``lhv``) write no trial log and pin the report alone; the
-``optimize`` digest pins the x, y, z order in which a diagonal T breaks ties
-between equal singular values. ``chsh`` is left out: its last bit may move.
-Seeded bytes are promised only for one numpy version, so on any other the
-test is skipped.
+log format shows up here. The exact cases write no trial log and pin the
+report alone: ``optimize`` and ``werner-sweep`` on Werner states, whose
+correlation tensor is exactly diagonal, ``chsh`` at the optimal preset, the
+exact ``lhv`` models, and one ``key,value`` CSV report. The ``optimize``
+digests pin the x, y, z order in which a diagonal T breaks ties between equal
+singular values. The correlator table is plain Python arithmetic, so the
+``chsh`` bytes are as fixed as the ``to_polar`` angles that ``sample --preset
+optimal`` already pins. Seeded bytes are promised only for one numpy version,
+so on any other the test is skipped.
 """
 
 import hashlib
@@ -47,6 +49,21 @@ CASES = {
     "lhv-exhaustive": (
         ["lhv", "--exhaustive"],
         "cd28c81deed60c43520193342a287cf0d1275fd854a96babf666a230b3e3a1f9",
+        None,
+    ),
+    "chsh-werner": (
+        ["chsh", "--state", "werner:0.8", "--preset", "optimal"],
+        "eb47346a014407393e42de0ad64240895ff9b09b26f1309d8405aca2d8b29f5f",
+        None,
+    ),
+    "lhv-uniform16": (
+        ["lhv", "--preset", "uniform16"],
+        "3c3c3d8575094fcd9a256500bccd3aac2a4cb18b1cf04ab57d8524047ebfd165",
+        None,
+    ),
+    "optimize-csv": (
+        ["optimize", "--state", "werner:0.9", "--format", "csv"],
+        "9906db66c78558df08cff9fe5d94fc1fdfa7f9916ba9842ceb5f3109c2ece2a3",
         None,
     ),
 }

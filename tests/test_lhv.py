@@ -55,6 +55,23 @@ def test_model_validation_errors():
             LhvModel.deterministic(not_a_pattern)
 
 
+def test_model_keeps_its_own_tuple_of_the_weights():
+    """A list or array of weights gives the model of the same tuple, out of reach of later writes."""
+    uniform = LhvModel.uniform16()
+    weights = np.full(16, 1.0 / 16.0)
+    as_list = [1.0 / 16.0] * 16
+    models = [LhvModel(weights), LhvModel(as_list), LhvModel.from_pattern_weights(weights)]
+    for m in models:
+        assert m == uniform
+        assert hash(m) == hash(uniform)
+        assert type(m.weights) is tuple and all(type(w) is float for w in m.weights)
+    weights[0] = 5.0
+    as_list[0] = 5.0
+    for m in models:
+        assert m.weights == uniform.weights
+        assert lhv_correlators_exact(m) == lhv_correlators_exact(uniform)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_model_rejects_non_finite_weights(bad):
     with pytest.raises(ValueError):
