@@ -143,14 +143,14 @@ def optimize_settings_traced(rho: DensityMatrix, *, seed: int = 0) -> tuple[Chsh
     """Maximize |S| over the four directions and report search diagnostics.
 
     The settings are built in closed form from the singular value
-    decomposition of T by :func:`_svd` (see the comment above), S is
-    evaluated at them through T, and the result is canonicalized to S >= 0
-    (negating both of B's directions flips the sign of S, so this loses
-    nothing). Tied singular values leave the directions free within their
-    span: a diagonal T (every Werner state's) breaks ties in the order x, y,
-    z, any other T in LAPACK's order. S and the singular values do not depend
-    on the choice. ``seed`` is accepted and unused; only the benchmark
-    harness passes it.
+    decomposition of T by :func:`_svd` (see the comment above), and S is
+    evaluated at them through T. It is never negative: the settings give S =
+    2(s1 + r s2)/sqrt(1 + r^2), since u_k . T v_k = s_k >= 0 and r >= 0.
+    Tied singular values leave the directions free within their span: a
+    diagonal T (every Werner state's) breaks ties in the order x, y, z, any
+    other T in LAPACK's order. S and the singular values do not depend on the
+    choice. ``seed`` is accepted and unused; only the benchmark harness
+    passes it.
     """
     t_mat = correlation_tensor(rho)
     u, s, vt = _svd(t_mat)
@@ -162,8 +162,6 @@ def optimize_settings_traced(rho: DensityMatrix, *, seed: int = 0) -> tuple[Chsh
     b2 = [(x - r * y) / norm for x, y in zip(vt[0], vt[1])]
     settings = MeasurementSettings(*(UnitVector3(*v) for v in (u[0], u[1], b1, b2)))
     result = _chsh_result(t_mat, settings)
-    if result.s_value < 0.0:
-        result = _chsh_result(t_mat, settings.flip_b())
     trace_info = OptimizationTrace(singular_values=tuple(s), optimality_gap=_max_s(s) - result.s_value)
     return result, trace_info
 

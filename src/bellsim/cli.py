@@ -164,7 +164,11 @@ def _check_paths(cfg: argparse.Namespace) -> None:
     for key in ("config", "out", "trial_log"):
         if path := getattr(cfg, key, None):
             flag = f"--{key.replace('_', '-')} {path}"
-            if (first := seen.setdefault(os.path.realpath(path), flag)) != flag:
+            try:
+                file = os.stat(path)[1:3]  # (st_ino, st_dev): a hard link to an existing file matches it
+            except OSError:
+                file = os.path.realpath(path)  # a new file, which only another new path can name
+            if (first := seen.setdefault(file, flag)) != flag:
                 raise ValueError(f"{first} and {flag} name the same file")
 
 

@@ -65,10 +65,6 @@ class MeasurementSettings(Record):
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "b2", b2)
 
-    def flip_b(self) -> "MeasurementSettings":
-        """Negate both of B's directions; this negates the CHSH value exactly."""
-        return MeasurementSettings(self.a1, self.a2, -self.b1, -self.b2)
-
 
 class CorrelatorTable(Record):
     """The four correlators e_jk = <A_j B_k>, each necessarily in [-1, 1]."""

@@ -20,7 +20,6 @@ from .correlators import MAX_TRIALS, CorrelatorTable, chsh_value
 from .patterns import (
     PATTERN_LABELS,
     RESPONSE_PATTERNS,
-    WEIGHT_SUM_TOL,
     LhvModel,
     classical_bound_exhaustive,
     deterministic_chsh_values,
@@ -111,10 +110,10 @@ def estimate_from_records(log: TrialLog) -> EstimatedTable:
     counts = tuple(tally.sum(axis=0).tolist())
     entries, errors = [], []
     for n, n_same in zip(counts, tally[1].tolist()):
-        # Exact integers divided once, as in the mean of the +-1 products; a pair with no trials gives 0 +- inf.
+        # Exact integers divided once (the mean of the +-1 products, so |e| <= 1); a pair with no trials gives 0 +- inf.
         e = (2 * n_same - n) / n if n else 0.0
         entries.append(e)
-        errors.append(math.sqrt(max(1.0 - e * e, 0.0) / n) if n else math.inf)
+        errors.append(math.sqrt((1.0 - e * e) / n) if n else math.inf)
     return EstimatedTable(table=CorrelatorTable(*entries), counts=counts, std_errors=tuple(errors))
 
 

@@ -22,6 +22,7 @@ from bellsim.chsh import (
     optimize_settings,
     optimize_settings_traced,
     quantum_correlator,
+    settings_from_polar,
     singlet_correlator_analytic,
     singlet_optimal_settings,
     werner_threshold,
@@ -156,12 +157,19 @@ def test_werner_half_at_optimal_settings():
     assert result.s_value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("pairs", [3, 5])
+def test_settings_from_polar_needs_four_pairs(pairs):
+    with pytest.raises(ValueError, match=f"need exactly 4 directions, got {pairs}"):
+        settings_from_polar([(0.5, 1.0)] * pairs)
+
+
 def test_flip_b_negates_s():
+    """Negating both of B's directions negates S."""
     for _ in range(20):
         rho = random_density()
-        settings = MeasurementSettings(*(random_direction() for _ in range(4)))
-        s = chsh_quantum(rho, settings).s_value
-        flipped = chsh_quantum(rho, settings.flip_b()).s_value
+        a1, a2, b1, b2 = (random_direction() for _ in range(4))
+        s = chsh_quantum(rho, MeasurementSettings(a1, a2, b1, b2)).s_value
+        flipped = chsh_quantum(rho, MeasurementSettings(a1, a2, -b1, -b2)).s_value
         assert abs(s + flipped) <= 1e-12
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 from pathlib import Path, PurePosixPath
 
 import jsonschema
@@ -398,6 +399,31 @@ def test_an_output_naming_the_config_file_exits_two_and_leaves_it(capsys, tmp_pa
     assert err.startswith(f"error: --config run.cfg and {option} ") and err.endswith(" name the same file\n")
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
     assert Path("run.cfg").read_text() == text
+
+
+@pytest.mark.parametrize("option", ["--out", "--trial-log"])
+def test_an_output_hard_linked_to_the_config_file_exits_two_and_leaves_it(capsys, tmp_path, monkeypatch, option):
+    """A hard link has its own name and resolved path, but is the config file."""
+    monkeypatch.chdir(tmp_path)
+    text = "preset = optimal\n"
+    Path("run.cfg").write_text(text)
+    os.link("run.cfg", "r.json")
+    code, out, err = run_cli(capsys, "sample", "--trials", "5", "--config", "run.cfg", option, "r.json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --config run.cfg and {option} r.json name the same file\n"
+    assert Path("run.cfg").read_text() == text
+
+
+def test_out_and_trial_log_hard_linked_to_one_file_exit_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text("kept\n")
+    os.link("r.json", "t.csv")
+    code, out, err = run_cli(capsys, "sample", "--preset", "optimal", "--trials", "5", "--out", "r.json",
+                             "--trial-log", "t.csv")
+    assert code == 2
+    assert err == "error: --out r.json and --trial-log t.csv name the same file\n"
+    assert Path("r.json").read_text() == "kept\n"
 
 
 def test_csv_keyvalue_format(capsys):

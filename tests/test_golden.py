@@ -10,11 +10,14 @@ exact ``lhv`` models, and one ``key,value`` CSV report. The ``optimize``
 digests pin the x, y, z order in which a diagonal T breaks ties between equal
 singular values. The correlator table is plain Python arithmetic, so the
 ``chsh`` bytes are as fixed as the ``to_polar`` angles that ``sample --preset
-optimal`` already pins. Seeded bytes are promised only for one numpy version,
-so on any other the test is skipped.
+optimal`` already pins. The exact cases run on any numpy, with numpy blocked,
+so that they also fail if one of them starts to import it. Seeded bytes are
+promised only for one numpy version, so on any other the two sampled cases are
+skipped.
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -69,13 +72,14 @@ CASES = {
 }
 
 
-@pytest.mark.skipif(
-    np.__version__ != NUMPY_VERSION,
-    reason=f"digests were recorded with numpy {NUMPY_VERSION}; seeded bytes are promised for one numpy version only",
-)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_seeded_outputs_match_recorded_digests(name, tmp_path, monkeypatch, capsys):
     argv, report_sha, log_sha = CASES[name]
+    if log_sha is None:
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises ImportError
+    elif np.__version__ != NUMPY_VERSION:
+        pytest.skip(f"digests were recorded with numpy {NUMPY_VERSION}; seeded bytes are promised for one numpy "
+                    "version only")
     # Relative paths, because the report records the trial log path.
     monkeypatch.chdir(tmp_path)
     log_args = [] if log_sha is None else ["--trial-log", f"{name}.csv"]

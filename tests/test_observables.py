@@ -82,6 +82,14 @@ def test_to_polar_roundtrip():
         assert abs(v.z - w.z) <= 1e-12
 
 
+def test_to_polar_wraps_an_azimuth_that_rounds_to_two_pi():
+    """atan2 gives -1e-300 here, and -1e-300 + 2*pi rounds to 2*pi, outside [0, 2*pi)."""
+    v = UnitVector3(1.0, -1e-300, 0.0)
+    assert to_polar(v) == (math.pi / 2, 0.0)
+    w = from_polar(*to_polar(v))
+    assert abs(v.x - w.x) <= 1e-12 and abs(v.y - w.y) <= 1e-12 and abs(v.z - w.z) <= 1e-12
+
+
 # --- spin observables ------------------------------------------------------------
 
 

@@ -120,7 +120,9 @@ def test_local_models_within_classical_bound(raw):
 
 
 def _assert_reaches_closed_form(rho: DensityMatrix) -> None:
+    """The search reaches the closed form, and its S is never negative: no sign flip is needed."""
     s = optimize_settings(rho).s_value
+    assert s >= 0.0
     assert abs(s - horodecki_max_s(rho)) <= GAP_TOL
 
 
