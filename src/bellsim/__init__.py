@@ -40,9 +40,9 @@ _PUBLIC = {
         "deterministic_chsh_values", "estimate_from_records", "lhv_correlators_exact",
         "sample_lhv_experiment", "sample_quantum_experiment", "write_trial_log",
     ),
-    "linalg": ("ComplexMatrix", "min_eigenvalue_hermitian"),
+    "linalg": ("ComplexMatrix", "StateDiagnostics", "min_eigenvalue_hermitian", "validate"),
     "observables": ("UnitVector3", "X_AXIS", "Y_AXIS", "Z_AXIS", "from_polar", "spin_observable", "to_polar"),
-    "states": ("DensityMatrix", "StateDiagnostics", "make_singlet", "make_werner", "validate", "werner_matrix"),
+    "states": ("DensityMatrix", "make_singlet", "make_werner", "werner_matrix"),
 }
 
 #: Each public name, and each submodule under its own name, to the submodule that defines it.

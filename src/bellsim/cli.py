@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from .cli_common import SETTINGS_PRESETS, _bound_lines, _exact_table, _fmt9, _result_dict
@@ -159,15 +160,20 @@ def _run_chsh(cfg: argparse.Namespace):
 
 
 def _check_paths(cfg: argparse.Namespace) -> None:
-    """Refuse, before any work, two of --config, --out and --trial-log naming one file: an output would overwrite it."""
+    """Refuse, before any work, two of --config, --out and --trial-log naming one regular file or one new path:
+    an output would overwrite it."""
     seen = {}
     for key in ("config", "out", "trial_log"):
         if path := getattr(cfg, key, None):
             flag = f"--{key.replace('_', '-')} {path}"
             try:
-                file = os.stat(path)[1:3]  # (st_ino, st_dev): a hard link to an existing file matches it
+                st = os.stat(path)
             except OSError:
                 file = os.path.realpath(path)  # a new file, which only another new path can name
+            else:
+                if not stat.S_ISREG(st.st_mode):
+                    continue  # a device such as /dev/null, which no write overwrites
+                file = st[1:3]  # (st_ino, st_dev): a hard link to an existing file matches it
             if (first := seen.setdefault(file, flag)) != flag:
                 raise ValueError(f"{first} and {flag} name the same file")
 

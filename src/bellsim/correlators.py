@@ -1,11 +1,11 @@
-"""Exact quantum correlators: measurement settings, the correlation tensor of
-a state, the table of the four correlators and the CHSH value with its bounds.
+"""Exact quantum correlators: measurement settings, the table of the four
+correlators of a state and the CHSH value with its bounds.
 
-This is the part of the quantum engine that every command loads; for the
-Werner states that the commands build it runs on plain Python. The tensor of
-any other state comes from :mod:`bellsim.linalg`, imported on the first such
-state. :mod:`bellsim.chsh` re-exports each name here and adds the Born-rule
-traces, the settings search and the Werner threshold.
+This is the part of the quantum engine that every command loads. A table is the
+bilinear form of the correlation tensor from :mod:`bellsim.states`, which runs
+on plain Python for the Werner states that the commands build.
+:mod:`bellsim.chsh` re-exports each name here, the tensor included, and adds
+the Born-rule traces, the settings search and the Werner threshold.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ import math
 
 from .observables import UnitVector3, X_AXIS, Z_AXIS, from_polar
 from .record import Record
-from .states import DensityMatrix, WernerState
+from .states import DensityMatrix, Tensor, correlation_tensor
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     from typing import Iterable
-
-Tensor = tuple[tuple[float, float, float], ...]  # a 3x3 real matrix as three rows
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -42,16 +40,6 @@ MAX_SWEEP_POINTS = 10_000
 #: imports nothing else): about 20 and 14 bytes per trial, so the largest run
 #: needs about 2 GB. Larger counts are refused before any draw.
 MAX_TRIALS = 10**8
-
-
-def _werner_tensor(p: float) -> Tensor:
-    """The correlation tensor T = diag(-p, -p, -p) of the Werner state at visibility ``p``.
-
-    It is summed in plain Python from the entries of :func:`bellsim.states.werner_matrix`, q and
-    p/2 + q on the diagonal and -p/2 + 0.0 off it, to the bits of the traces."""
-    q, off = (1.0 - p) / 4.0, -0.5 * p + 0.0
-    t_xx, t_zz = off + off, 2.0 * (q - (0.5 * p + q))
-    return ((t_xx, 0.0, 0.0), (0.0, t_xx, 0.0), (0.0, 0.0, t_zz))
 
 
 class MeasurementSettings(Record):
@@ -108,18 +96,6 @@ def _table(t_mat: Tensor, s: MeasurementSettings) -> CorrelatorTable:
     """e_jk = (a_j T) . b_k, summed in plain Python."""
     rows = [[a.x * tx + a.y * ty + a.z * tz for tx, ty, tz in zip(*t_mat)] for a in (s.a1, s.a2)]
     return CorrelatorTable(*(ax * b.x + ay * b.y + az * b.z for ax, ay, az in rows for b in (s.b1, s.b2)))
-
-
-def correlation_tensor(rho: DensityMatrix) -> Tensor:
-    """The 3x3 correlation tensor T_ij = Tr(rho sigma_i (x) sigma_j), as rows of floats.
-
-    Every correlator of ``rho`` is the bilinear form E(a, b) = a . T b. A Werner state's T is
-    summed in plain Python to the bits of the traces; any other state's T is
-    :func:`bellsim.linalg.born_tensor` of its matrix."""
-    if isinstance(rho, WernerState):
-        return _werner_tensor(rho.p)
-    import bellsim.linalg as linalg
-    return linalg.born_tensor(rho.matrix)
 
 
 def correlator_table(rho: DensityMatrix, s: MeasurementSettings) -> CorrelatorTable:

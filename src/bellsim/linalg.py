@@ -89,8 +89,13 @@ class StateDiagnostics(Record):
         return self.hermitian_ok and self.trace_ok and self.positive_ok
 
 
+def validate(matrix) -> StateDiagnostics:
+    """Diagnose a candidate two-qubit state, any 4x4 array-like of finite entries, without raising on failure."""
+    return _diagnose(ComplexMatrix(matrix))
+
+
 def _diagnose(m: np.ndarray) -> StateDiagnostics:
-    """:func:`bellsim.states.validate` on a matrix that :func:`ComplexMatrix` already copied and checked."""
+    """:func:`validate` on a matrix that :func:`ComplexMatrix` already copied and checked."""
     import numpy as np
     if m.shape != (4, 4):
         raise ValueError("a two-qubit state must be 4x4")

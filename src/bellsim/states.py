@@ -1,6 +1,6 @@
 """The two-qubit states under study: the singlet and the Werner family, and any
-state given as a 4x4 matrix, whose checks, :class:`StateDiagnostics` included,
-are imported from :mod:`bellsim.linalg` on first use."""
+state given as a 4x4 matrix, whose checks are imported from :mod:`bellsim.linalg`
+on first use; and the correlation tensor of each."""
 
 from __future__ import annotations
 
@@ -12,25 +12,11 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run t
 if TYPE_CHECKING:
     import numpy as np
 
-    from .linalg import StateDiagnostics
+Tensor = tuple[tuple[float, float, float], ...]  # a 3x3 real matrix as three rows
 
 VISIBILITY_MIN = -1.0 / 3.0
 VISIBILITY_MAX = 1.0
 _VISIBILITY_SLACK = 1e-12
-
-
-def __getattr__(name: str):
-    """``StateDiagnostics`` from :mod:`bellsim.linalg`, where the checks that make it are."""
-    if name != "StateDiagnostics":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import bellsim.linalg as linalg
-    return linalg.StateDiagnostics
-
-
-def validate(matrix) -> StateDiagnostics:
-    """Diagnose a candidate two-qubit state, any 4x4 array-like of finite entries, without raising on failure."""
-    import bellsim.linalg as linalg
-    return linalg._diagnose(linalg.ComplexMatrix(matrix))
 
 
 class DensityMatrix(Record):
@@ -82,7 +68,7 @@ def make_singlet() -> DensityMatrix:
 def werner_matrix(p: float) -> np.ndarray:
     """Raw Werner combination p * singlet + (1-p)/4 * identity, unvalidated, as a real array.
 
-    Useful for probing out-of-range ``p`` with :func:`validate`; use
+    Useful for probing out-of-range ``p`` with :func:`bellsim.linalg.validate`; use
     :func:`make_werner` to obtain a guaranteed state.
     """
     import numpy as np
@@ -97,3 +83,25 @@ def make_werner(p: float) -> DensityMatrix:
     Out-of-range ``p``, NaN included, raises instead of being clamped.
     """
     return WernerState(p)
+
+
+def _werner_tensor(p: float) -> Tensor:
+    """The correlation tensor T = diag(-p, -p, -p) of the Werner state at visibility ``p``.
+
+    It is summed in plain Python from the entries of :func:`werner_matrix`, q and
+    p/2 + q on the diagonal and -p/2 + 0.0 off it, to the bits of the traces."""
+    q, off = (1.0 - p) / 4.0, -0.5 * p + 0.0
+    t_xx, t_zz = off + off, 2.0 * (q - (0.5 * p + q))
+    return ((t_xx, 0.0, 0.0), (0.0, t_xx, 0.0), (0.0, 0.0, t_zz))
+
+
+def correlation_tensor(rho: DensityMatrix) -> Tensor:
+    """The 3x3 correlation tensor T_ij = Tr(rho sigma_i (x) sigma_j), as rows of floats.
+
+    Every correlator of ``rho`` is the bilinear form E(a, b) = a . T b. A Werner state's T is
+    summed in plain Python to the bits of the traces; any other state's T is
+    :func:`bellsim.linalg.born_tensor` of its matrix."""
+    if isinstance(rho, WernerState):
+        return _werner_tensor(rho.p)
+    import bellsim.linalg as linalg
+    return linalg.born_tensor(rho.matrix)

@@ -426,6 +426,14 @@ def test_out_and_trial_log_hard_linked_to_one_file_exit_two(capsys, tmp_path, mo
     assert Path("r.json").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [["sample", "--preset", "optimal", "--trials", "10", "--trial-log", os.devnull],
+                                  ["chsh", "--preset", "optimal", "--config", os.devnull]])
+def test_outputs_on_a_device_file_run(capsys, argv):
+    """No write to /dev/null overwrites anything, so more than one of the paths may name it."""
+    code, _, err = run_cli(capsys, *argv, "--out", os.devnull)
+    assert (code, err) == (0, "")
+
+
 def test_csv_keyvalue_format(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--state", "singlet", "--preset", "optimal",
                            "--format", "csv")

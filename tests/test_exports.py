@@ -20,9 +20,9 @@ PUBLIC = {
         "deterministic_chsh_values", "estimate_from_records", "lhv_correlators_exact", "sample_lhv_experiment",
         "sample_quantum_experiment", "write_trial_log",
     ],
-    "linalg": ["ComplexMatrix", "min_eigenvalue_hermitian"],
+    "linalg": ["ComplexMatrix", "StateDiagnostics", "min_eigenvalue_hermitian", "validate"],
     "observables": ["UnitVector3", "X_AXIS", "Y_AXIS", "Z_AXIS", "from_polar", "spin_observable", "to_polar"],
-    "states": ["DensityMatrix", "StateDiagnostics", "make_singlet", "make_werner", "validate", "werner_matrix"],
+    "states": ["DensityMatrix", "make_singlet", "make_werner", "werner_matrix"],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 #: What ``from bellsim import *`` bound: every public name and the five submodules.

@@ -62,7 +62,7 @@ def test_submodule_attribute_after_a_bare_import():
 
 
 def test_a_matrix_state_loads_linalg_and_not_chsh():
-    """The tensor of a state given as a matrix comes from ``linalg``, imported downward by ``correlators``."""
+    """The tensor of a state given as a matrix comes from ``linalg``, imported downward by ``states``."""
     code = (
         "import json, sys\nimport numpy as np\n"
         "from bellsim.correlators import correlation_tensor, correlator_table, singlet_optimal_settings\n"
@@ -109,6 +109,7 @@ def test_no_module_imports_one_that_imports_it_back():
                 targets |= {a.name.split(".")[1] for a in node.names if a.name.startswith("bellsim.")}
         graph[path.stem] = targets
     assert graph["linalg"] == {"record"} and graph["record"] == set()
+    assert graph["correlators"] == {"observables", "record", "states"}
     order: list[str] = []  # a topological order exists iff the graph has no cycle
     while len(order) < len(graph):
         ready = sorted(m for m in graph if m not in order and graph[m] <= set(order))

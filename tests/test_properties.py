@@ -26,8 +26,9 @@ from bellsim.chsh import (
     quantum_correlator,
 )
 from bellsim.lhv import RESPONSE_PATTERNS, LhvModel, lhv_correlators_exact
+from bellsim.linalg import validate
 from bellsim.observables import UnitVector3, X_AXIS, Y_AXIS, Z_AXIS, spin_observable
-from bellsim.states import DensityMatrix, make_werner, validate, werner_matrix
+from bellsim.states import DensityMatrix, make_werner, werner_matrix
 
 GAP_TOL = 1e-14
 BORN_TOL = 1e-15

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from bellsim.chsh import born_expectation, correlation_tensor
-from bellsim.linalg import _PAULIS, ComplexMatrix, min_eigenvalue_hermitian
+from bellsim.linalg import _PAULIS, ComplexMatrix, min_eigenvalue_hermitian, validate
 from bellsim.states import (
     DensityMatrix,
     make_singlet,
     make_werner,
-    validate,
     werner_matrix,
 )
 
