@@ -122,11 +122,8 @@ _OPTIONS = {
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse the command line, and again with the lines of a --config file before its flags.
-
-    Only the subparser of the subcommand in ``argv[0]`` gets its options (see :func:`build_parser`).
-    """
-    parser = build_parser(argv[:1])
+    """Parse the command line, and again with the lines of a --config file before its flags."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -238,15 +235,8 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", type=_path, help="key=value config file; explicit flags win")
 
 
-def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or only of those in ``commands``.
-
-    Every subcommand is registered with its help, so the top-level help and
-    the error for an unknown subcommand are the same either way; one left
-    out of ``commands`` takes no options. :func:`_parse_args` builds only the
-    subcommand named by ``argv[0]``, which the top-level parser, taking no
-    option but ``-h``, always reads as the subcommand.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, each with its help line and its options."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Two-qubit CHSH calculations: quantum correlators, bound "
@@ -254,9 +244,7 @@ def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_line in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        if command in commands:
-            _add_arguments(p, command)
+        _add_arguments(sub.add_parser(command, help=help_line), command)
     return parser
 
 

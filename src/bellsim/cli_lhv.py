@@ -41,7 +41,7 @@ def _run_lhv(cfg: argparse.Namespace):
     )
 
     if cfg.exhaustive:
-        # The bound enumerates the 16 patterns; the per-pattern values are its cached enumeration.
+        # The bound enumerates the 16 patterns, and the per-pattern values enumerate them again.
         bound = classical_bound_exhaustive()
         values = deterministic_chsh_values()
         results = {"classical_bound": bound, "pattern_labels": list(PATTERN_LABELS), "pattern_values": list(values)}
@@ -66,9 +66,9 @@ def _run_lhv(cfg: argparse.Namespace):
     if cfg.trials is not None:
         from .lhv import sample_lhv_experiment
 
-        estimate, log = sample_lhv_experiment(model, cfg.trials, cfg.seed)
+        estimate = _sample(cfg, sample_lhv_experiment, model)
         results["estimate"] = _estimate_dict(estimate)
-        diagnostics["trial_log"] = _write_log_if_requested(cfg, log)
+        diagnostics["trial_log"] = cfg.trial_log
         human.append(
             f"sampled S = {_fmt9(estimate.s_estimate)} +- {_fmt9(estimate.s_std_error)} "
             f"({cfg.trials} trials, seed {cfg.seed})"
@@ -84,8 +84,7 @@ def _run_sample(cfg: argparse.Namespace):
     from .lhv import sample_quantum_experiment
 
     exact_s = chsh_value(exact)
-    estimate, log = sample_quantum_experiment(exact, cfg.trials, cfg.seed)
-    log_path = _write_log_if_requested(cfg, log)
+    estimate = _sample(cfg, sample_quantum_experiment, exact)
     results = {"exact_table": exact.as_dict(), "exact_s": exact_s, "estimate": _estimate_dict(estimate)}
     human = [
         f"sample  state={cfg.state}  trials={cfg.trials}  seed={cfg.seed}",
@@ -93,16 +92,19 @@ def _run_sample(cfg: argparse.Namespace):
         f"estimated S = {_fmt9(estimate.s_estimate)} +- {_fmt9(estimate.s_std_error)}",
         "per-pair trials: " + " ".join(str(n) for n in estimate.counts),
     ]
-    if log_path:
-        human.append(f"trial log written to {log_path}")
-    return {**inputs, "trials": cfg.trials}, results, {"trial_log": log_path}, human, None
+    if cfg.trial_log is not None:
+        human.append(f"trial log written to {cfg.trial_log}")
+    return {**inputs, "trials": cfg.trials}, results, {"trial_log": cfg.trial_log}, human, None
 
 
-def _write_log_if_requested(cfg: argparse.Namespace, log) -> str | None:
+def _sample(cfg: argparse.Namespace, sampler, source):
+    """The estimate of the ``cfg.trials`` trials that ``sampler`` draws from ``source``, written to --trial-log if
+    it is given. The log is opened before the first draw, so an unwritable path exits 2 without sampling."""
     if cfg.trial_log is None:
-        return None
+        return sampler(source, cfg.trials, cfg.seed)[0]
     from .lhv import write_trial_log
 
     with open(cfg.trial_log, "wb") as stream:
+        estimate, log = sampler(source, cfg.trials, cfg.seed)
         write_trial_log(log, stream)
-    return cfg.trial_log
+    return estimate

@@ -1,8 +1,9 @@
 """What only a state given as a matrix runs: the checked copy of a 2x2 or 4x4
 complex matrix, the validity diagnostics of a two-qubit state and its
-Born-rule correlation tensor. Other modules import it inside the functions
-that need it, so the commands, which build only singlet and Werner states,
-never load it. They spell it ``import bellsim.linalg as linalg``: on CPython
+Born-rule correlation tensor. Each of them needs numpy, which is imported
+when this module loads. Other modules import it inside the functions that
+need it, so the commands, which build only singlet and Werner states, never
+load it. They spell it ``import bellsim.linalg as linalg``: on CPython
 3.11 (2-vCPU Xeon) that costs 0.3 us a call, and ``from .linalg import name``
 1.6-2.1 us, a few percent of a library call on a matrix state."""
 
@@ -10,11 +11,9 @@ from __future__ import annotations
 
 import functools
 
-from .record import InternalConsistencyError, Record
+import numpy as np
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
-if TYPE_CHECKING:
-    import numpy as np
+from .record import InternalConsistencyError, Record
 
 HERMITICITY_TOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -29,7 +28,6 @@ def ComplexMatrix(entries) -> np.ndarray:
     copy cannot be written through, so every matrix in circulation is safe
     to share.
     """
-    import numpy as np
     arr = np.array(entries, dtype=np.complex128)
     if arr.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"matrix must be 2x2 or 4x4, got shape {arr.shape}")
@@ -51,7 +49,6 @@ def min_eigenvalue_hermitian(a: np.ndarray) -> float:
     accuracy of the returned eigenvalue is limited only by the dense solver,
     far below 1e-10 at these dimensions.
     """
-    import numpy as np
     defect = hermiticity_defect(a)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
@@ -96,7 +93,6 @@ def validate(matrix) -> StateDiagnostics:
 
 def _diagnose(m: np.ndarray) -> StateDiagnostics:
     """:func:`validate` on a matrix that :func:`ComplexMatrix` already copied and checked."""
-    import numpy as np
     if m.shape != (4, 4):
         raise ValueError("a two-qubit state must be 4x4")
     return StateDiagnostics(
@@ -135,7 +131,6 @@ _PAULIS = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))  # sigma_x,
 @functools.cache
 def _pauli_pairs() -> np.ndarray:
     """Entry (i, j) is (sigma_i (x) sigma_j)^T flattened: its product with the flattened state is T_ij."""
-    import numpy as np
     paulis = np.array(_PAULIS)
     return np.array([[np.kron(a, b).T.reshape(16) for b in paulis] for a in paulis])
 

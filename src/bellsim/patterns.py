@@ -8,7 +8,6 @@ the estimate and the trial log.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .correlators import CorrelatorTable, chsh_value
@@ -72,9 +71,8 @@ def lhv_correlators_exact(m: LhvModel) -> CorrelatorTable:
     return CorrelatorTable(*(sum((w * r[j] * r[k] for w, r in pairs), 0.0) for j in (0, 1) for k in (2, 3)))
 
 
-@functools.cache
 def deterministic_chsh_values() -> tuple[float, ...]:
-    """CHSH value of every deterministic pattern, in RESPONSE_PATTERNS order; enumerated once per process."""
+    """CHSH value of every deterministic pattern, in RESPONSE_PATTERNS order."""
     return tuple(chsh_value(lhv_correlators_exact(LhvModel.deterministic(p))) for p in RESPONSE_PATTERNS)
 
 

@@ -5,21 +5,42 @@ The deterministic correlator vectors (e11, e12, e21, e22) = (A1 B1, A1 B2, A2 B1
 cross-polytope conv{+-h_i}: a table e is local iff sum_i |c_i| <= 1 with c = H e / 4 (and then
 e = H c). Its 16 facets are the 8 CHSH inequalities and |e_jk| <= 1 (Fine, Phys. Rev. Lett. 48,
 291, 1982).
+
+The seed panels below were fixed before any run. A failure is a finding about the samplers: do
+not re-seed or resize a panel to make it pass.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
-from bellsim.chsh import THRESHOLD_TOL, correlator_table, optimize_settings, singlet_optimal_settings, werner_threshold
-from bellsim.lhv import RESPONSE_PATTERNS, LhvModel, lhv_correlators_exact
+from bellsim.chsh import (
+    THRESHOLD_TOL,
+    CorrelatorTable,
+    aligned_settings,
+    correlator_table,
+    optimize_settings,
+    singlet_optimal_settings,
+    werner_threshold,
+)
+from bellsim.lhv import (
+    RESPONSE_PATTERNS,
+    LhvModel,
+    lhv_correlators_exact,
+    sample_lhv_experiment,
+    sample_quantum_experiment,
+)
 from bellsim.states import make_singlet, make_werner
+from test_joint_law import ALPHA, MAX_REJECTIONS, chi2_tail, tally
 
 #: The seeds of every random draw below, fixed before any run.
 MIXTURE_SEED = 4101
 MEMBERSHIP_SEED = 4102
 MODEL_SEED = 4103
+ONE_LAW_SEEDS = range(3000, 3200)  # the quantum sampler's seed is each plus 10**6
+ONE_LAW_TRIALS = 2000
 
 H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
 #: The 8 CHSH combinations: the minus sign on each of the 4 correlators, with either overall sign.
@@ -100,3 +121,41 @@ def test_locality_threshold_of_the_optimal_werner_table_is_werner_threshold():
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if local(mid) else (lo, mid)
     assert abs(0.5 * (lo + hi) - werner_threshold()) <= THRESHOLD_TOL
+
+
+#: Local tables on which the Fine model and the quantum sampler must draw one law.
+ONE_LAW_TABLES = {
+    "werner 0.5, optimal": correlator_table(make_werner(0.5), singlet_optimal_settings()),
+    "werner 0.7, optimal": correlator_table(make_werner(0.7), singlet_optimal_settings()),
+    "singlet, aligned": correlator_table(make_singlet(), aligned_settings()),
+    "zero": CorrelatorTable(0.0, 0.0, 0.0, 0.0),
+}
+
+
+def two_sample_p(x: list[int], y: list[int]) -> float:
+    """The Pearson chi-square p-value that two tallies of the same cells come from one law, over
+    the cells that either tally fills."""
+    nx, ny = sum(x), sum(y)
+    stat, cells = 0.0, 0
+    for a, b in zip(x, y):
+        if a + b:
+            ea, eb = nx * (a + b) / (nx + ny), ny * (a + b) / (nx + ny)
+            stat += (a - ea) ** 2 / ea + (b - eb) ** 2 / eb
+            cells += 1
+    return chi2_tail(stat, cells - 1)
+
+
+@pytest.mark.parametrize("name", ONE_LAW_TABLES)
+def test_fine_model_and_quantum_sampler_draw_one_law(name):
+    """The Fine model gives each vertex's weight in equal halves to a pattern and its global flip,
+    so its outcomes have zero marginals, and on a local table its trials have the quantum
+    sampler's law (1 + a b e_jk)/16. Per seed, a two-sample chi-square of the two tallies; over
+    the panel, the count of small p-values is bounded as in ``tests/test_joint_law.py``."""
+    table = ONE_LAW_TABLES[name]
+    model = _fine_model(_vector(table))
+    rejected = sum(
+        two_sample_p(tally(sample_lhv_experiment(model, ONE_LAW_TRIALS, seed)[1]),
+                     tally(sample_quantum_experiment(table, ONE_LAW_TRIALS, seed + 10**6)[1])) <= ALPHA
+        for seed in ONE_LAW_SEEDS
+    )
+    assert rejected <= MAX_REJECTIONS

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -97,8 +98,6 @@ def test_singlet_and_werner_library_calls_load_no_linalg():
 
 def test_no_module_imports_one_that_imports_it_back():
     """Every import between bellsim modules, at load time or inside a function, points one way."""
-    import ast
-
     graph = {}
     for path in (SRC / "bellsim").glob("*.py"):
         targets = set()
@@ -115,6 +114,39 @@ def test_no_module_imports_one_that_imports_it_back():
         ready = sorted(m for m in graph if m not in order and graph[m] <= set(order))
         assert ready, {m: graph[m] - set(order) for m in graph if m not in order}
         order += ready
+
+
+def _imported(node: ast.AST) -> list[str]:
+    """The top-level names that an import statement imports; none for a relative import or another node."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def _load_time_imports(tree: ast.Module) -> list[str]:
+    """The top-level names that a module's load imports: every import outside a function body and
+    outside ``if TYPE_CHECKING:``, whose names only annotations use."""
+    names, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            stack += node.orelse
+            continue
+        names += _imported(node)
+        stack += ast.iter_child_nodes(node)
+    return names
+
+
+def test_only_linalg_imports_numpy_when_it_loads():
+    """Every other module imports numpy inside the functions that need it; ``linalg``, which only a
+    matrix state loads and whose every function needs numpy, imports it once, at its top."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "bellsim").glob("*.py")}
+    assert {name for name, tree in trees.items() if "numpy" in _load_time_imports(tree)} == {"linalg"}
+    assert [name for node in ast.walk(trees["linalg"]) for name in _imported(node)].count("numpy") == 1
 
 
 #: The bellsim modules that every command loads besides ``cli.py``, which ``python -m bellsim.cli``
@@ -233,7 +265,6 @@ if __name__ == "__main__":
     # Each run's AST node total over the bellsim modules it loads, the package and cli.py
     # included: what a process that cannot write bytecode compiles. CI prints it for
     # information; the test above pins the modules themselves.
-    import ast
     import tempfile
 
     with tempfile.TemporaryDirectory() as work:

@@ -10,9 +10,11 @@ that locality forbids. These tests check the whole law of a trial,
 Each run of the fixed panel gets a 16-cell Pearson chi-square test. A cell of
 probability zero must hold no trial and is dropped from the degrees of
 freedom. The count of p-values at or below ALPHA is bounded as in
-``tests/test_finite_statistics.py``. No-signaling, P(a | j, k) independent of
-k and P(b | j, k) independent of j, is checked on the panel's pooled counts
-within K standard errors, and exactly, in fractions, on the exact laws.
+``tests/test_finite_statistics.py``, and their Kolmogorov-Smirnov distance
+from U(0, 1) by the Dvoretzky-Kiefer-Wolfowitz inequality. No-signaling,
+P(a | j, k) independent of k and P(b | j, k) independent of j, is checked on
+the panel's pooled counts within K standard errors, and exactly, in
+fractions, on the exact laws.
 
 The seed panel was fixed before any run. A failure is a finding about the
 samplers: do not re-seed or resize the panel to make it pass.
@@ -83,6 +85,12 @@ def chi_square_p(counts: list[int], law: list[Fraction]) -> float:
     return chi2_tail(stat, cells - 1)
 
 
+def ks_uniform(p_values: list[float]) -> float:
+    """The one-sample Kolmogorov-Smirnov statistic of ``p_values`` against U(0, 1)."""
+    n = len(p_values)
+    return max(max(i / n - p, p - (i - 1) / n) for i, p in enumerate(sorted(p_values), start=1))
+
+
 def signaling_contrasts(cells: list) -> list[tuple]:
     """The four pairs of marginals that no-signaling makes equal, each marginal given as (weight of
     outcome +1, weight of the setting pair), in counts or probabilities: A's at (j, 1) and (j, 2),
@@ -112,6 +120,10 @@ ALPHA = 0.05
 #: with probability above 1e-4: the count is Bin(200, ALPHA).
 MAX_REJECTIONS = next(c for c in range(len(SEEDS) + 1)
                       if log_binomial_tail(len(SEEDS), ALPHA, c + 1) <= math.log(1e-4))
+#: The largest Kolmogorov-Smirnov distance between the SEEDS p-values and U(0, 1) that a
+#: uniform p-value exceeds with probability at most 1e-4 (DKW, with Massart's constant:
+#: P(D > eps) <= 2 exp(-2 n eps^2)); about 0.1573.
+KS_MAX = math.sqrt(math.log(2 / 1e-4) / 2) / math.sqrt(len(SEEDS))
 #: Standard errors within which the panel's pooled marginals must agree.
 K = 4.0
 
@@ -169,19 +181,28 @@ def test_exact_lhv_law_has_the_exact_correlators(name):
 
 def test_the_panel_has_a_usable_bound():
     assert 10 <= MAX_REJECTIONS < 40  # above the mean 200 * 0.05 = 10 of Bin(200, 0.05)
+    assert KS_MAX == pytest.approx(0.1573, abs=1e-4)
+
+
+def test_ks_uniform_of_small_samples():
+    assert ks_uniform([0.5]) == 0.5
+    assert ks_uniform([0.25, 0.75]) == 0.25
+    assert ks_uniform([0.1, 0.2, 0.3]) == pytest.approx(0.7)
 
 
 @pytest.mark.parametrize(("kind", "name"), CASES, ids=[f"{kind} {name}" for kind, name in CASES])
 def test_sampled_law_fits_and_does_not_signal(kind, name):
-    """Per run, the chi-square p-value; over the panel, the count of small ones and the pooled marginals."""
+    """Per run, the chi-square p-value; over the panel, the count of small ones, their distance
+    from U(0, 1) and the pooled marginals."""
     law, draw = BUILD[kind](name)
     pooled = [0] * 16
-    rejected = 0
+    p_values = []
     for seed in SEEDS:
         counts = tally(draw(seed))
-        rejected += chi_square_p(counts, law) <= ALPHA
+        p_values.append(chi_square_p(counts, law))
         pooled = [s + c for s, c in zip(pooled, counts)]
-    assert rejected <= MAX_REJECTIONS
+    assert sum(p <= ALPHA for p in p_values) <= MAX_REJECTIONS
+    assert ks_uniform(p_values) <= KS_MAX
     for (x1, n1), (x2, n2) in signaling_contrasts(pooled):
         p = (x1 + x2) / (n1 + n2)
         assert abs(x1 / n1 - x2 / n2) <= K * math.sqrt(p * (1 - p) * (1 / n1 + 1 / n2))
