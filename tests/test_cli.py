@@ -631,6 +631,56 @@ def test_trials_help_states_the_bound(capsys):
         assert f"at most {MAX_TRIALS})" in out
 
 
+# --- one subparser per parse ----------------------------------------------------------
+
+#: Config files for the parse panel: one every subcommand takes, one only werner-sweep takes
+#: (a key error elsewhere), one with a value no format takes, and one line that is no key = value.
+PARSE_CONFIGS = {"seed.cfg": "seed = 5\n", "points.cfg": "points = 3\n", "xml.cfg": "format = xml\n",
+                 "line.cfg": "preset\n"}
+
+#: Per subcommand: valid argv, --help, an unknown option, a missing value, a bad choice, an
+#: out-of-range integer, and --config lines, good and bad; then argv with no subcommand first.
+PARSE_PANEL = [
+    *([command, *rest] for command in cli._COMMANDS for rest in (
+        [], ["--help"], ["--seed", "7", "--out", "./r.json", "--format", "csv"], ["--bogus"], ["--seed"],
+        ["--format", "xml"], ["--seed", "-1"], ["--config", "seed.cfg", "--seed", "9"], ["--config", "points.cfg"],
+        ["--config", "xml.cfg"], ["--config", "line.cfg"], ["--config", "missing.cfg"],
+    )),
+    ["chsh", "--state", "werner:0.9", "--preset", "aligned"], ["chsh", "--a1", "0.1", "0.2"],
+    ["chsh", "--preset", "diagonal"], ["chsh", *[tok for name in ("a1", "a2", "b1", "b2") for tok in (f"--{name}", "1", "2")]],
+    ["werner-sweep", "--p-min", "0.2", "--p-max", "0.4", "--points", "3"], ["werner-sweep", "--points", "1"],
+    ["lhv", "--exhaustive"], ["lhv", "--weights", "1", *["0"] * 15, "--trials", "1e3"], ["lhv", "--weights", "1"],
+    ["lhv", "--preset", "optimal"], ["lhv", "--trials", "1.5"],
+    ["sample", "--preset", "optimal", "--trials", "10", "--trial-log", "t.csv"], ["sample", "--trials", "0"],
+    ["sample", "--trial-log"], ["chsch"], ["--help"], ["-h"], ["--he"], [], ["--seed", "3", "chsh"], ["--", "chsh"],
+]
+
+
+def _parse_outcome(capsys, argv):
+    try:
+        result = ("parsed", vars(cli._parse_args(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except ValueError as exc:
+        result = ("error", str(exc))
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_PANEL, ids=lambda argv: " ".join(argv) or "(no command)")
+def test_parse_with_one_subparser_matches_the_full_parser(capsys, tmp_path, monkeypatch, argv):
+    """A parser that gives options to the subcommand named by argv[0] alone parses argv as the full
+    parser does: namespace, output and exit. So no subcommand's options change another's parse."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in PARSE_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    full = _parse_outcome(capsys, argv)
+    add_arguments, given = cli._add_arguments, []
+    monkeypatch.setattr(cli, "_add_arguments",
+                        lambda p, command: command in argv[:1] and (given.append(command) or add_arguments(p, command)))
+    assert _parse_outcome(capsys, argv) == full
+    assert given == [command for command in argv[:1] if command in cli._COMMANDS]
+
+
 # --- one parse for flags and config files ----------------------------------------------
 
 
