@@ -23,7 +23,6 @@ import sys
 
 from .cli_common import SETTINGS_PRESETS, _bound_lines, _exact_table, _fmt9, _result_dict
 from .correlators import MAX_SWEEP_POINTS, MAX_TRIALS, ChshResult, chsh_value
-from .record import InternalConsistencyError
 
 #: Each subcommand and its help line, in the order ``bellsim --help`` lists them.
 _COMMANDS = {
@@ -266,9 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

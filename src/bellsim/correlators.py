@@ -24,7 +24,9 @@ CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_SLACK = 1e-12
 TSIRELSON_SLACK = 1e-8
-_CORRELATOR_SLACK = 1e-10
+#: A state that :mod:`bellsim.linalg` accepts has trace norm at most 1 + 1e-10 + 2 * 3 * 1e-10
+#: (trace error, then three eigenvalues down to -1e-10), and each correlator is bounded by it.
+_CORRELATOR_SLACK = 1e-9
 
 #: Points of a Werner sweep. Each point (state, search and row) takes about
 #: 0.05 ms on a 2-vCPU Xeon, so a sweep at the bound runs in about 0.6 s as a

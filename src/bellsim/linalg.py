@@ -9,16 +9,13 @@ load it. They spell it ``import bellsim.linalg as linalg``: on CPython
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .record import InternalConsistencyError, Record
+from .record import Record
 
 HERMITICITY_TOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_ATOL = 1e-10
-BORN_IMAG_TOL = 1e-10
 
 
 def ComplexMatrix(entries) -> np.ndarray:
@@ -88,24 +85,28 @@ class StateDiagnostics(Record):
 
 def validate(matrix) -> StateDiagnostics:
     """Diagnose a candidate two-qubit state, any 4x4 array-like of finite entries, without raising on failure."""
-    return _diagnose(ComplexMatrix(matrix))
+    return _diagnose(ComplexMatrix(matrix))[0]
 
 
-def _diagnose(m: np.ndarray) -> StateDiagnostics:
-    """:func:`validate` on a matrix that :func:`ComplexMatrix` already copied and checked."""
+def _diagnose(m: np.ndarray) -> tuple[StateDiagnostics, np.ndarray]:
+    """:func:`validate` on a matrix that :func:`ComplexMatrix` already copied and checked, with the
+    read-only Hermitian part (m + m^H)/2 whose spectrum it measured."""
     if m.shape != (4, 4):
         raise ValueError("a two-qubit state must be 4x4")
+    hermitian = (m + m.conj().T) / 2
+    hermitian.setflags(write=False)
     return StateDiagnostics(
         hermiticity_error=hermiticity_defect(m),
         trace_error=abs(complex(np.trace(m)) - 1.0),
-        min_eigenvalue=float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]),
-    )
+        min_eigenvalue=float(np.linalg.eigvalsh(hermitian)[0]),
+    ), hermitian
 
 
 def checked_state(entries) -> np.ndarray:
-    """The :func:`ComplexMatrix` copy of a valid 4x4 density matrix; anything else raises :class:`ValueError`."""
-    m = ComplexMatrix(entries)
-    diag = _diagnose(m)
+    """The read-only Hermitian part (m + m^H)/2 of the :func:`ComplexMatrix` copy m of a valid 4x4
+    density matrix, whose traces with Hermitian observables are real up to rounding; anything else
+    raises :class:`ValueError`."""
+    diag, hermitian = _diagnose(ComplexMatrix(entries))
     if not diag.is_valid:
         raise ValueError(
             "invalid density matrix: "
@@ -113,31 +114,16 @@ def checked_state(entries) -> np.ndarray:
             f"trace error {diag.trace_error:.3e}, "
             f"min eigenvalue {diag.min_eigenvalue:.3e}"
         )
-    return m
-
-
-def _check_real(value, what: str) -> None:
-    residue = float(abs(value.imag).max())
-    if residue > BORN_IMAG_TOL:
-        raise InternalConsistencyError(
-            f"{what} has imaginary part {residue:.3e}; "
-            "state or observable is not Hermitian in the expected ordering"
-        )
+    return hermitian
 
 
 _PAULIS = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))  # sigma_x, sigma_y, sigma_z
 
-
-@functools.cache
-def _pauli_pairs() -> np.ndarray:
-    """Entry (i, j) is (sigma_i (x) sigma_j)^T flattened: its product with the flattened state is T_ij."""
-    paulis = np.array(_PAULIS)
-    return np.array([[np.kron(a, b).T.reshape(16) for b in paulis] for a in paulis])
+#: Entry (i, j) is (sigma_i (x) sigma_j)^T flattened: its product with the flattened state is T_ij.
+_PAULI_PAIRS = np.array([[np.kron(a, b).T.reshape(16) for b in np.array(_PAULIS)] for a in np.array(_PAULIS)])
 
 
 def born_tensor(m: np.ndarray) -> tuple[tuple[float, float, float], ...]:
-    """The correlation tensor T_ij = Tr(m sigma_i (x) sigma_j) of a checked 4x4 state matrix, as rows
-    of floats, with its imaginary residue checked like that of a Born-rule trace."""
-    t_mat = _pauli_pairs() @ m.reshape(16)
-    _check_real(t_mat, "correlation tensor")
-    return tuple(map(tuple, t_mat.real.tolist()))
+    """The correlation tensor T_ij = Tr(m sigma_i (x) sigma_j) of a state matrix from :func:`checked_state`,
+    as rows of floats: m is Hermitian, so each trace is real up to rounding and its real part is kept."""
+    return tuple(map(tuple, (_PAULI_PAIRS @ m.reshape(16)).real.tolist()))

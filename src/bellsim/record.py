@@ -1,5 +1,4 @@
-"""The immutable base class of bellsim's record types, and the error that the checks of
-:mod:`bellsim.linalg` raise, here so that the CLI catches it without loading them."""
+"""The immutable base class of bellsim's record types."""
 
 
 class Record:
@@ -34,9 +33,3 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
-
-
-class InternalConsistencyError(RuntimeError):
-    """A Born-rule trace or the correlation tensor came out with a non-negligible imaginary part.
-
-    Raised by the checks of :mod:`bellsim.linalg`."""

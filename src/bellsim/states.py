@@ -22,8 +22,8 @@ _VISIBILITY_SLACK = 1e-12
 class DensityMatrix(Record):
     """Validated two-qubit state: Hermitian, unit trace, positive semidefinite.
 
-    ``matrix`` is a read-only complex128 copy of the 4x4 array-like given.
-    States compare and hash by identity.
+    ``matrix`` is the read-only Hermitian part (c + c^H)/2 of c, a complex128 copy of the
+    4x4 array-like given. States compare and hash by identity.
     """
 
     __slots__ = ("matrix",)

@@ -114,6 +114,19 @@ def test_correlator_table_rejects_out_of_range():
         CorrelatorTable(1.1, 0, 0, 0)
 
 
+@pytest.mark.parametrize("d", [0.9e-10, 1e-10])
+@pytest.mark.parametrize("preset", [aligned_settings, singlet_optimal_settings], ids=["aligned", "optimal"])
+def test_correlators_of_a_state_at_the_eigenvalue_edge_pass_the_table_check(d, preset):
+    """(1 + d) P - d |00><00|, P the singlet projector, has eigenvalues 1 + d, -d, 0, 0, which
+    validation accepts for d up to 1e-10, and T_zz = -1 - 2d: aligned settings reach |e| = 1 + 2d."""
+    rho = DensityMatrix((1.0 + d) * make_singlet().matrix - d * np.diag([1.0, 0.0, 0.0, 0.0]))
+    s = preset()
+    born = [quantum_correlator(rho, spin_observable(a), spin_observable(b)) for a in (s.a1, s.a2) for b in (s.b1, s.b2)]
+    assert list(correlator_table(rho, s).as_dict().values()) == pytest.approx(born, abs=1e-15)
+    assert chsh_quantum(rho, s).within_tsirelson
+    assert optimize_settings(rho).within_tsirelson
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_correlator_table_rejects_non_finite(bad):
     with pytest.raises(ValueError):

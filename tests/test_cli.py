@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellsim import cli
-from bellsim.chsh import MAX_SWEEP_POINTS, InternalConsistencyError, TSIRELSON_BOUND
+from bellsim.chsh import MAX_SWEEP_POINTS, TSIRELSON_BOUND
 from bellsim.cli import REPORT_SCHEMA, main
 from bellsim.lhv import MAX_TRIALS
 
@@ -585,16 +585,6 @@ def test_unknown_preset_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "chsh", "--help")[0] == 0
-
-
-def test_internal_error_exits_one(capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise InternalConsistencyError("imaginary residue")
-
-    monkeypatch.setattr("bellsim.cli_common.correlator_table", boom)
-    code, _, err = run_cli(capsys, "chsh", "--state", "singlet", "--preset", "optimal")
-    assert code == 1
-    assert "internal error" in err
 
 
 def test_reports_validate_against_schema(capsys):

@@ -11,15 +11,15 @@ digests pin the x, y, z order in which a diagonal T breaks ties between equal
 singular values. The correlator table is plain Python arithmetic, so the
 ``chsh`` bytes are as fixed as the ``to_polar`` angles that ``sample --preset
 optimal`` already pins. The exact cases run on any numpy, with numpy blocked,
-so that they also fail if one of them starts to import it. Seeded bytes are
-promised only for one numpy version, so on any other the two sampled cases are
-skipped.
+so that they also fail if one of them starts to import it, and numpy is
+imported only for the sampled cases: the file runs where numpy is not
+installed. Seeded bytes are promised only for one numpy version, so on any
+other, or without numpy, the two sampled cases are skipped.
 """
 
 import hashlib
 import sys
 
-import numpy as np
 import pytest
 
 from bellsim.cli import main
@@ -77,7 +77,7 @@ def test_seeded_outputs_match_recorded_digests(name, tmp_path, monkeypatch, caps
     argv, report_sha, log_sha = CASES[name]
     if log_sha is None:
         monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises ImportError
-    elif np.__version__ != NUMPY_VERSION:
+    elif pytest.importorskip("numpy").__version__ != NUMPY_VERSION:
         pytest.skip(f"digests were recorded with numpy {NUMPY_VERSION}; seeded bytes are promised for one numpy "
                     "version only")
     # Relative paths, because the report records the trial log path.

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bellsim.chsh import (
     CLASSICAL_BOUND,
@@ -107,6 +107,37 @@ def test_quantum_chsh_within_tsirelson(kind, state_seed, settings_seed):
     result = chsh_quantum(_state(kind, state_seed), _random_settings(settings_seed))
     assert abs(result.s_value) <= TSIRELSON_BOUND + 1e-8
     assert result.within_tsirelson
+
+
+#: The tolerances of validation: hermiticity, trace and eigenvalue, each 1e-10.
+EDGE = 1e-10
+
+
+def _edge_matrix(seed: int, negative: int, trace_shift: int, skew: float) -> np.ndarray:
+    """A matrix at the edges of validation: a random eigenbasis, ``negative`` eigenvalues at -1e-10,
+    trace 1 + trace_shift * 1e-10 and an anti-Hermitian term of at most ``skew`` per entry."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    rest = rng.dirichlet(np.ones(4 - negative)) * (1.0 + trace_shift * EDGE + negative * EDGE)
+    spectrum = np.concatenate([np.full(negative, -EDGE), rest])
+    phases = np.exp(2j * np.pi * rng.random((4, 4)))
+    return (basis * spectrum) @ basis.conj().T + skew * (phases - phases.conj().T) / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, negative=st.integers(0, 3), trace_shift=st.integers(-1, 1), skew=st.floats(0.0, EDGE / 2),
+       settings_seed=SEEDS)
+@example(seed=1, negative=3, trace_shift=1, skew=EDGE / 2, settings_seed=2)
+def test_every_accepted_state_at_the_edges_passes_every_later_check(seed, negative, trace_shift, skew, settings_seed):
+    """No state that validation accepts makes a tensor, a table, the search or a Born-rule trace raise."""
+    m = _edge_matrix(seed, negative, trace_shift, skew)
+    assume(validate(m).is_valid)
+    rho = DensityMatrix(m)
+    t_mat = correlation_tensor(rho)
+    assert np.abs(np.array(t_mat) - _born_tensor(rho)).max() <= 1e-12
+    correlator_table(rho, _random_settings(settings_seed))
+    optimize_settings(rho)
+    horodecki_max_s(rho)
 
 
 SIMPLEX_POINTS = st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.chsh import born_expectation, correlation_tensor
+from bellsim.chsh import born_expectation, correlation_tensor, quantum_correlator
 from bellsim.linalg import _PAULIS, ComplexMatrix, min_eigenvalue_hermitian, validate
 from bellsim.states import (
     DensityMatrix,
@@ -157,6 +157,22 @@ def test_density_matrix_is_read_only_and_owns_its_entries():
     source[1, 1] = source[2, 2] = 0.0
     source[0, 0] = source[3, 3] = 0.5
     assert np.array_equal(rho.matrix, SINGLET_EXPECTED)
+
+
+def test_density_matrix_keeps_the_hermitian_part():
+    """A matrix within the hermiticity tolerance is stored as its Hermitian part, so the Born-rule
+    traces of the state are real: its tensor and correlators are values, not errors."""
+    pauli_x = np.array(_PAULIS[0])
+    m = np.eye(4) / 4 + 0.5e-10j * np.kron(pauli_x, pauli_x)
+    rho = DensityMatrix(m)
+    assert validate(m).hermiticity_error == 1e-10
+    assert np.array_equal(rho.matrix, np.eye(4) / 4)
+    assert correlation_tensor(rho) == ((0.0,) * 3,) * 3
+    assert quantum_correlator(rho, pauli_x, pauli_x) == 0.0
+    g = _ginibre(3)
+    rho = DensityMatrix(g + 2e-11j * np.kron(pauli_x, np.eye(2)))
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert np.abs(rho.matrix - g).max() <= 1e-16
 
 
 def test_visibility_range():
