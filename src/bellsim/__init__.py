@@ -8,12 +8,11 @@ seeded finite-statistics experiment simulation on both sides.
 Every public name below, and every submodule, is imported on first access,
 so ``import bellsim`` loads no submodule and a command compiles only the
 modules it runs. The exact core that the commands share is defined in two
-modules of its own and re-exported by the public ones: ``chsh`` re-exports
-``correlators`` (settings, correlation tensor, correlator table, CHSH value
-and bounds) and adds the Born-rule traces, the settings search and the
-Werner threshold;
-``lhv`` re-exports ``patterns`` (the 16 patterns, ``LhvModel``, exact
-correlators, the exhaustive bound) and adds the samplers and the trial log.
+modules of its own: ``chsh`` re-exports ``correlators`` (settings,
+correlation tensor, correlator table, CHSH value and bounds) and adds the
+Born-rule traces, the settings search and the Werner threshold; ``lhv``
+re-exports ``patterns`` (the 16 patterns, ``LhvModel``, exact correlators,
+the exhaustive bound, named here from ``patterns``) and adds what needs numpy.
 The CLI is split the same way: ``cli`` parses and runs ``chsh`` with
 ``cli_common``, and imports ``cli_search``, ``cli_lhv`` or ``cli_formats``
 only for the commands and formats that run them. ``linalg``, what only a
@@ -25,8 +24,8 @@ import sys
 
 __version__ = "0.1.0"
 
-#: The public names of each public submodule; ``chsh`` and ``lhv`` list the names they
-#: re-export from ``correlators`` and ``patterns``, which are the same objects there.
+#: The public names of each public submodule; ``chsh`` lists the names it re-exports from
+#: ``correlators``, while those ``lhv`` re-exports are listed under ``patterns``, which needs no numpy.
 _PUBLIC = {
     "chsh": (
         "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "InternalConsistencyError",
@@ -36,12 +35,13 @@ _PUBLIC = {
         "settings_from_polar", "singlet_correlator_analytic", "singlet_optimal_settings", "werner_threshold",
     ),
     "lhv": (
-        "EstimatedTable", "LhvModel", "RESPONSE_PATTERNS", "TrialLog", "classical_bound_exhaustive",
-        "deterministic_chsh_values", "estimate_from_records", "lhv_correlators_exact",
-        "sample_lhv_experiment", "sample_quantum_experiment", "write_trial_log",
+        "EstimatedTable", "TrialLog", "estimate_from_records", "sample_lhv_experiment",
+        "sample_quantum_experiment", "write_trial_log",
     ),
     "linalg": ("ComplexMatrix", "StateDiagnostics", "min_eigenvalue_hermitian", "validate"),
     "observables": ("UnitVector3", "X_AXIS", "Y_AXIS", "Z_AXIS", "from_polar", "spin_observable", "to_polar"),
+    "patterns": ("LhvModel", "RESPONSE_PATTERNS", "classical_bound_exhaustive", "deterministic_chsh_values",
+                 "lhv_correlators_exact"),
     "states": ("DensityMatrix", "make_singlet", "make_werner", "werner_matrix"),
 }
 

@@ -265,8 +265,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("error: this command needs numpy: pip install 'bellsim[sampling]'", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

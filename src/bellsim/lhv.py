@@ -7,14 +7,16 @@ mixture. A's outcome never references B's setting choice and vice versa, so
 locality is structural.
 
 The patterns, the models and their exact correlators are defined in
-:mod:`bellsim.patterns` and re-exported here; this module adds the seeded
-samplers, the estimate and the trial log, which only ``sample`` and
-``lhv --trials`` load.
+:mod:`bellsim.patterns`, from which ``bellsim`` names them, and re-exported
+here. This module adds the seeded samplers, the estimate and the trial log,
+which only ``sample`` and ``lhv --trials`` load; it imports numpy as it loads.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .correlators import MAX_TRIALS, CorrelatorTable, chsh_value
 from .patterns import (
@@ -30,8 +32,6 @@ from .record import Record
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     from typing import IO
-
-    import numpy as np
 
 
 def _all_in(column: np.ndarray, allowed: tuple[int, int]) -> bool:
@@ -49,7 +49,6 @@ class TrialLog(Record):
 
     def __init__(self, a_setting: np.ndarray, b_setting: np.ndarray, a_outcome: np.ndarray,
                  b_outcome: np.ndarray) -> None:
-        import numpy as np
         cols = [np.asarray(c) for c in (a_setting, b_setting, a_outcome, b_outcome)]
         if not all(c.ndim == 1 and len(c) == len(cols[0]) for c in cols):
             raise ValueError("trial log columns must be 1-D and of equal length")
@@ -62,7 +61,6 @@ class TrialLog(Record):
         return len(self.a_setting)
 
     def __eq__(self, other) -> bool:
-        import numpy as np
         if isinstance(other, TrialLog):
             return all(map(np.array_equal, self._values(), other._values()))
         return NotImplemented
@@ -101,7 +99,6 @@ def _pair_index(a_setting, b_setting):
 
 def estimate_from_records(log: TrialLog) -> EstimatedTable:
     """Estimate the correlator table from a non-empty :class:`TrialLog`."""
-    import numpy as np
     if not len(log):
         raise ValueError("cannot estimate correlators from an empty trial log")
     # One tally over 8 bins: the setting pair, plus 4 when the outcomes agree.
@@ -144,7 +141,6 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     settings. ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the
     estimate and the trials as a :class:`TrialLog`.
     """
-    import numpy as np
     _check_trials(n_trials)
     rng = np.random.default_rng(seed)
     cdf = np.array(m.weights).cumsum()
@@ -190,7 +186,6 @@ def sample_quantum_experiment(
     halves. ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the
     estimate and the trials as a :class:`TrialLog`.
     """
-    import numpy as np
     _check_trials(n_trials)
     rng = np.random.default_rng(seed)
     a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
@@ -217,7 +212,6 @@ def write_trial_log(log: TrialLog, stream: IO[bytes]) -> None:
     four digits of the low part, zero-padded unless ``h`` is 0, where the
     leading zeros are blanked to NUL instead.
     """
-    import numpy as np
     # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 4 * pair index + 2*(x<0) + (y<0).
     tails = [f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)]
     row_tails = np.array(tails, dtype="S11")

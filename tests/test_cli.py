@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import sys
 from pathlib import Path, PurePosixPath
 
 import jsonschema
@@ -613,6 +614,25 @@ def test_trials_above_max_exit_two_before_drawing(capsys, tmp_path, monkeypatch,
     code, _, err = run_cli(capsys, *command, *extra)
     assert code == 2
     assert str(MAX_TRIALS) in err
+
+
+def test_running_out_of_memory_exits_two(capsys, monkeypatch):
+    """A bare ``MemoryError``, whose message is empty, is reported by its name."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.random, "default_rng", no_memory)
+    assert run_cli(capsys, "sample", "--preset", "optimal", "--trials", "10") == (2, "", "error: MemoryError\n")
+
+
+def test_a_missing_numpy_exits_two_and_another_missing_module_raises(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises ModuleNotFoundError
+    monkeypatch.delitem(sys.modules, "bellsim.lhv")
+    code, out, err = run_cli(capsys, "sample", "--preset", "optimal", "--trials", "10")
+    assert (code, out) == (2, "") and "bellsim[sampling]" in err
+    monkeypatch.setitem(sys.modules, "bellsim.lhv", None)
+    with pytest.raises(ModuleNotFoundError, match="bellsim.lhv"):
+        main(["lhv", "--preset", "uniform16", "--trials", "10"])
 
 
 def test_trials_help_states_the_bound(capsys):

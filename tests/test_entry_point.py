@@ -94,3 +94,36 @@ def test_broken_pipe_at_the_final_flush_exits_two(tmp_path):
     """Lines that fit the buffer fail only in run()'s flush, which reports them as main() would."""
     proc = _without_reader(["chsh", "--preset", "optimal", "--out", "r.json"], tmp_path)
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+#: The console entry point on a host without numpy: ``None`` in ``sys.modules`` makes every import of it fail.
+WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom bellsim.cli import run\nrun()"
+
+
+@pytest.mark.parametrize("argv", [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]],
+                         ids=["sample", "lhv"])
+def test_sampling_without_numpy_exits_two_before_any_output(argv, tmp_path):
+    """The samplers' module imports numpy as it loads, after the option checks and before the outputs open."""
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv, "--trials", "10", "--out", "r.json",
+                           "--trial-log", "t.csv"], cwd=tmp_path, env=_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "bellsim[sampling]" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_exits_two(tmp_path):
+    """10^8 trials need about 2 GB. Under a 512 MiB address-space limit, set in this one child only, the
+    first column's 800 MB allocation fails before any of it is touched, and ``main`` reports the
+    ``MemoryError`` as one line. One OpenBLAS thread keeps numpy's own start-up within the limit."""
+    pytest.importorskip("resource")
+    limit = 512 << 20
+    code = (f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from bellsim.cli import run\nrun()")
+    argv = ["sample", "--preset", "optimal", "--trials", "100000000", "--out", "/dev/null"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in proc.stderr

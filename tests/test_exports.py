@@ -25,8 +25,9 @@ PUBLIC = {
     "states": ["DensityMatrix", "make_singlet", "make_werner", "werner_matrix"],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
-#: What ``from bellsim import *`` bound: every public name and the five submodules.
-STAR = {name for _, name in NAMES} | set(PUBLIC)
+#: What ``from bellsim import *`` bound: every public name, the five submodules and ``patterns``, which
+#: defines the exact LHV names that ``lhv`` re-exports.
+STAR = {name for _, name in NAMES} | set(PUBLIC) | {"patterns"}
 
 
 @pytest.mark.parametrize(("module", "name"), NAMES, ids=[name for _, name in NAMES])

@@ -25,7 +25,8 @@ def _fresh(code: str, *flags: str) -> str:
 
 
 #: Top-level modules that neither ``import bellsim`` nor an exact command loads: numpy is
-#: imported on call, and dataclasses, with the inspect, ast and dis it imports, not at all.
+#: imported only by ``linalg``, the samplers' ``lhv`` and the functions that need it, and
+#: dataclasses, with the inspect, ast and dis it imports, not at all.
 NUMPY_FREE = ("numpy", "dataclasses", "inspect")
 
 
@@ -141,12 +142,21 @@ def _load_time_imports(tree: ast.Module) -> list[str]:
     return names
 
 
-def test_only_linalg_imports_numpy_when_it_loads():
+def test_only_linalg_and_lhv_import_numpy_when_they_load():
     """Every other module imports numpy inside the functions that need it; ``linalg``, which only a
-    matrix state loads and whose every function needs numpy, imports it once, at its top."""
+    matrix state loads, and ``lhv``, which only the samplers load, need numpy in every function and
+    import it once, at their tops, so a sampling command without numpy stops before it opens a file."""
     trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "bellsim").glob("*.py")}
-    assert {name for name, tree in trees.items() if "numpy" in _load_time_imports(tree)} == {"linalg"}
-    assert [name for node in ast.walk(trees["linalg"]) for name in _imported(node)].count("numpy") == 1
+    assert {name for name, tree in trees.items() if "numpy" in _load_time_imports(tree)} == {"linalg", "lhv"}
+    for module in ("linalg", "lhv"):
+        assert [name for node in ast.walk(trees[module]) for name in _imported(node)].count("numpy") == 1
+
+
+def test_exact_lhv_names_run_without_numpy():
+    """The package names them from ``patterns``, which needs no numpy, not from the samplers' ``lhv``."""
+    code = ("import sys\nsys.modules['numpy'] = None\nimport bellsim as bs\n"
+            "print(bs.classical_bound_exhaustive(), bs.lhv_correlators_exact(bs.LhvModel.uniform16()).as_dict())")
+    assert _fresh(code) == "2.0 {'e11': 0.0, 'e12': 0.0, 'e21': 0.0, 'e22': 0.0}\n"
 
 
 #: The bellsim modules that every command loads besides ``cli.py``, which ``python -m bellsim.cli``

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellsim.chsh import born_expectation, quantum_correlator
-from bellsim.linalg import _PAULIS, ComplexMatrix, min_eigenvalue_hermitian
+from bellsim.linalg import _PAULIS, ComplexMatrix, min_eigenvalue_hermitian, validate
 from bellsim.observables import X_AXIS, Z_AXIS, spin_observable
 from bellsim.states import DensityMatrix, make_singlet, werner_matrix
 
@@ -98,6 +98,17 @@ def test_min_eigenvalue_examples():
 def test_min_eigenvalue_rejects_non_hermitian():
     with pytest.raises(ValueError):
         min_eigenvalue_hermitian(ComplexMatrix([[0, 1], [0, 0]]))
+
+
+def test_min_eigenvalue_reads_the_spectrum_validate_reads():
+    """Within the hermiticity tolerance, both measure the Hermitian part (m + m^H)/2, not one triangle of m:
+    on this matrix the lower triangle alone reads about -1.165e-10, past the -1e-10 that validation accepts."""
+    d = 0.95e-10
+    m = (1 + d) * werner_matrix(1.0) - d * np.diag([1, 0, 0, 0]) + 0.5e-10j * np.kron(PAULI_X, PAULI_X)
+    diag = validate(m)
+    assert diag.is_valid
+    assert abs(min_eigenvalue_hermitian(m) - diag.min_eigenvalue) <= 1e-15
+    assert abs(diag.min_eigenvalue + d) <= 1e-15
 
 
 def _charpoly_coefficients(matrix):
