@@ -64,9 +64,9 @@ def _run_lhv(cfg: argparse.Namespace):
     human.append(f"S   = {_fmt9(s)}")
     diagnostics: dict = {"labels": list(PATTERN_LABELS)}
     if cfg.trials is not None:
-        from .lhv import sample_lhv_experiment
+        from .lhv import _lhv_codes
 
-        estimate = _sample(cfg, sample_lhv_experiment, model)
+        estimate = _sample(cfg, _lhv_codes, model)
         results["estimate"] = _estimate_dict(estimate)
         diagnostics["trial_log"] = cfg.trial_log
         human.append(
@@ -81,10 +81,10 @@ def _run_sample(cfg: argparse.Namespace):
     if cfg.trials is None:
         raise ValueError("sample requires --trials")
     exact, _, inputs = _exact_table(cfg)
-    from .lhv import sample_quantum_experiment
+    from .lhv import _quantum_codes
 
     exact_s = chsh_value(exact)
-    estimate = _sample(cfg, sample_quantum_experiment, exact)
+    estimate = _sample(cfg, _quantum_codes, exact)
     results = {"exact_table": exact.as_dict(), "exact_s": exact_s, "estimate": _estimate_dict(estimate)}
     human = [
         f"sample  state={cfg.state}  trials={cfg.trials}  seed={cfg.seed}",
@@ -97,14 +97,14 @@ def _run_sample(cfg: argparse.Namespace):
     return {**inputs, "trials": cfg.trials}, results, {"trial_log": cfg.trial_log}, human, None
 
 
-def _sample(cfg: argparse.Namespace, sampler, source):
-    """The estimate of the ``cfg.trials`` trials that ``sampler`` draws from ``source``, written to --trial-log if
-    it is given. The log is opened before the first draw, so an unwritable path exits 2 without sampling."""
-    if cfg.trial_log is None:
-        return sampler(source, cfg.trials, cfg.seed)[0]
-    from .lhv import write_trial_log
+def _sample(cfg: argparse.Namespace, codes, source):
+    """The estimate of the ``cfg.trials`` trials whose row codes ``codes`` draws from ``source``. Each block of
+    trials is tallied, and written to --trial-log if it is given, before the next is drawn. The log is opened
+    before the first draw, so an unwritable path exits 2 without sampling."""
+    from .lhv import _logged, _tally
 
+    blocks = codes(source, cfg.trials, cfg.seed)
+    if cfg.trial_log is None:
+        return _tally(blocks)
     with open(cfg.trial_log, "wb") as stream:
-        estimate, log = sampler(source, cfg.trials, cfg.seed)
-        write_trial_log(log, stream)
-    return estimate
+        return _tally(_logged(blocks, stream))

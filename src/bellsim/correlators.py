@@ -35,12 +35,13 @@ MAX_SWEEP_POINTS = 10_000
 
 #: Largest trial count the samplers of :mod:`bellsim.lhv` accept. It is defined
 #: here, in a module every command loads, so the CLI bounds ``--trials``
-#: without importing the samplers. Every trial stays in memory. At 1e7 trials
-#: a CLI process peaked at 235 MB for ``sample``, with or without
-#: ``--trial-log``, and 178 MB for ``lhv --preset uniform16``, against 35 MB
-#: at one trial with numpy loaded (child RSS, spawned from a launcher that
-#: imports nothing else): about 20 and 14 bytes per trial, so the largest run
-#: needs about 2 GB. Larger counts are refused before any draw.
+#: without importing the samplers. The commands hold one block of trials at a
+#: time, so the bound is one of time, not memory: on a 2-vCPU Xeon, 1e8 trials
+#: took 1.4 s for ``sample``, 4.4 s with ``--trial-log /dev/null`` and 1.7 s
+#: for ``lhv --preset uniform16``, each at a 35-36 MB peak, as at one trial
+#: (child RSS, spawned from a launcher that imports nothing else). It stays at
+#: 1e8: the library samplers return every trial as a :class:`TrialLog`, about
+#: 8 bytes per trial at peak. Larger counts are refused before any draw.
 MAX_TRIALS = 10**8
 
 

@@ -92,31 +92,121 @@ class EstimatedTable(Record):
         return math.sqrt(sum(se * se for se in self.std_errors))
 
 
-def _pair_index(a_setting, b_setting):
-    """The setting pair (j, k) as 2*(j-1) + (k-1), its place in the (11, 12, 21, 22) order of a table."""
-    return 2 * a_setting + b_setting - 3
+def _codes(log: TrialLog) -> np.ndarray:
+    """Each trial's row code ``4 * pair + 2 * (a < 0) + (b < 0)``, where the setting pair (j, k) is
+    2*(j-1) + (k-1), its place in the (11, 12, 21, 22) order of a table."""
+    return 8 * log.a_setting + 4 * log.b_setting - 12 + (1 - log.a_outcome) + (1 - log.b_outcome) // 2
+
+
+def _estimate(tally: np.ndarray) -> EstimatedTable:
+    """The estimate from the 16-bin tally of the row codes."""
+    bins = tally.reshape(4, 4).tolist()
+    counts = tuple(sum(row) for row in bins)
+    entries, errors = [], []
+    for n, (same_plus, _, _, same_minus) in zip(counts, bins):
+        # Exact integers divided once (the mean of the +-1 products, so |e| <= 1); a pair with no trials gives 0 +- inf.
+        e = (2 * (same_plus + same_minus) - n) / n if n else 0.0
+        entries.append(e)
+        errors.append(math.sqrt((1.0 - e * e) / n) if n else math.inf)
+    return EstimatedTable(table=CorrelatorTable(*entries), counts=counts, std_errors=tuple(errors))
 
 
 def estimate_from_records(log: TrialLog) -> EstimatedTable:
     """Estimate the correlator table from a non-empty :class:`TrialLog`."""
     if not len(log):
         raise ValueError("cannot estimate correlators from an empty trial log")
-    # One tally over 8 bins: the setting pair, plus 4 when the outcomes agree.
-    same = (log.a_outcome == log.b_outcome).view(np.int8)
-    tally = np.bincount(4 * same + _pair_index(log.a_setting, log.b_setting), minlength=8).reshape(2, 4)
-    counts = tuple(tally.sum(axis=0).tolist())
-    entries, errors = [], []
-    for n, n_same in zip(counts, tally[1].tolist()):
-        # Exact integers divided once (the mean of the +-1 products, so |e| <= 1); a pair with no trials gives 0 +- inf.
-        e = (2 * n_same - n) / n if n else 0.0
-        entries.append(e)
-        errors.append(math.sqrt((1.0 - e * e) / n) if n else math.inf)
-    return EstimatedTable(table=CorrelatorTable(*entries), counts=counts, std_errors=tuple(errors))
+    # Tallied a block at a time: np.bincount casts its input to 8-byte indices.
+    codes = _codes(log)
+    return _tally(codes[i:i + _BLOCK] for i in range(0, len(codes), _BLOCK))
 
 
-def _check_trials(n_trials: int) -> None:
-    if not 1 <= n_trials <= MAX_TRIALS:
-        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
+#: Trials per block: the samplers draw, tally and write one block at a time. A block's largest array, 8 B per
+#: trial, stays under glibc's 128 KiB mmap threshold, so the blocks reuse the same heap pages: at 6 * 10^4 a
+#: 3e5-trial draw took 1,860 fresh pages (about 2 ms) against 460 here.
+_BLOCK = 10**4
+
+
+def _at(bit_gen, word: int):
+    """A copy of the PCG64 ``bit_gen`` whose next raw word is word ``word`` of its stream."""
+    copy = np.random.PCG64(0)  # the state is replaced, so the seed does not matter
+    copy.state = bit_gen.state
+    return copy.advance(word)
+
+
+def _top_bits(words: np.ndarray) -> np.ndarray:
+    """The top bit of each 32-bit half of ``words``, low half first, as uint8."""
+    return (words.astype("<u8", copy=False).view("<u4") >> 31).astype(np.uint8)
+
+
+def _blocks(seed: int, n: int, rule, words: list[int], halves: list[int]):
+    """The int8 row codes of ``n`` trials, a block at a time, from one generator ``default_rng(seed)``.
+
+    ``rule`` maps a block to its row codes, given the raw words from each word offset in ``words`` and then
+    the top bits of the 32-bit halves from each half offset in ``halves``, both ascending. Each offset is read
+    from a copy of the generator; a run of halves from an odd offset starts at a word's high half, so each
+    copy holds back the one half its block did not use. The generator itself ends as numpy's draws of the
+    same halves and words leave it: past the last word, holding the high half of the last word the halves
+    came from, marked unused when they end at an odd half.
+    """
+    if not 1 <= n <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n}")
+    bit_gen = np.random.default_rng(seed).bit_generator
+    word_copies, half_copies = [_at(bit_gen, w) for w in words], [_at(bit_gen, h // 2) for h in halves]
+    held = [_top_bits(c.random_raw(h % 2))[1:] for c, h in zip(half_copies, halves)]
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        bits = [np.concatenate((b, _top_bits(c.random_raw((size - len(b) + 1) // 2))))
+                for c, b in zip(half_copies, held)]
+        yield rule(*[c.random_raw(size) for c in word_copies], *[b[:size] for b in bits])
+        held = [b[size:] for b in bits]
+    last = halves[-1] + n
+    high = int(_at(bit_gen, (last - 1) // 2).random_raw()) >> 32
+    bit_gen.advance(max(words[-1] + n, (last + 1) // 2))
+    bit_gen.state = {**bit_gen.state, "has_uint32": last % 2, "uinteger": high}
+
+
+def _lhv_codes(m: LhvModel, n_trials: int, seed: int):
+    """The row codes of :func:`sample_lhv_experiment`, a block at a time."""
+    cdf = np.array(m.weights).cumsum()
+    cdf /= cdf[-1]
+
+    def rule(words, a_bit, b_bit):
+        u = (words >> 11) * 2.0**-53
+        lam = np.zeros(len(u), dtype=np.uint8)
+        for c in cdf:  # searchsorted(side="right") of a non-decreasing cdf, in 16 passes
+            lam += c <= u
+        # Bits 3..0 of a pattern index are the signs of A1, A2, B1, B2 (RESPONSE_PATTERNS).
+        a_neg, b_neg = (lam >> (3 - a_bit)) & 1, (lam >> (1 - b_bit)) & 1
+        return (8 * a_bit + 4 * b_bit + 2 * a_neg + b_neg).view(np.int8)
+
+    return _blocks(seed, n_trials, rule, [0], [2 * n_trials, 3 * n_trials])
+
+
+def _quantum_codes(e_table: CorrelatorTable, n_trials: int, seed: int):
+    """The row codes of :func:`sample_quantum_experiment`, a block at a time."""
+    thresholds = (1.0 + np.array([e_table.e11, e_table.e12, e_table.e21, e_table.e22])) * 2.0**52
+
+    def rule(coins, a_bit, b_bit, a_plus):
+        pair = 2 * a_bit + b_bit
+        a_neg, same = 1 - a_plus, (coins >> 11) < thresholds.take(pair)
+        return (4 * pair + 2 * a_neg + (a_neg ^ ~same)).view(np.int8)
+
+    n = n_trials
+    return _blocks(seed, n, rule, [(3 * n + 1) // 2], [0, n, 2 * n])
+
+
+def _tally(blocks) -> EstimatedTable:
+    """The estimate of the trials whose row codes ``blocks`` yields, tallied a block at a time."""
+    tally = np.zeros(16, dtype=np.int64)
+    for codes in blocks:
+        tally += np.bincount(codes, minlength=16)
+    return _estimate(tally)
+
+
+def _experiment(blocks) -> tuple[EstimatedTable, TrialLog]:
+    kept = list(blocks)
+    codes = np.concatenate(kept)
+    return _tally(kept), TrialLog(1 + (codes >> 3), 1 + ((codes >> 2) & 1), 1 - (codes & 2), 1 - 2 * (codes & 1))
 
 
 def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[EstimatedTable, TrialLog]:
@@ -125,7 +215,8 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     Per trial a fresh pattern is drawn from the model's weights and the two
     setting indices are drawn uniformly, independently of it and of each
     other. The stream contract for a given seed is one PCG64 generator
-    (numpy ``default_rng``) and three vectorized draws, in this order:
+    (numpy ``default_rng``): the trials, and the state the generator is left
+    in, are those of three vectorized draws, in this order:
 
     - the pattern indices, ``rng.choice(16, size=n_trials, p=weights)``;
     - the A settings, ``rng.integers(1, 3, size=n_trials)``;
@@ -138,26 +229,11 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     ``i`` draws ``u_i = (w_i >> 11) * 2**-53`` for its pattern, and the
     settings are ``1 + (h >> 31)`` for the 32-bit halves ``h`` of words ``n``
     to ``2n - 1``, low half first: the ``n`` A settings, then the ``n`` B
-    settings. ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the
-    estimate and the trials as a :class:`TrialLog`.
+    settings. The trials are computed from these words a block at a time.
+    ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the estimate and the
+    trials as a :class:`TrialLog`.
     """
-    _check_trials(n_trials)
-    rng = np.random.default_rng(seed)
-    cdf = np.array(m.weights).cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(n_trials)
-    lam = np.zeros(n_trials, dtype=np.int8)
-    for c in cdf:  # searchsorted(side="right") of a non-decreasing cdf, in 16 passes
-        lam += c <= u
-    del u  # 8 B per trial, freed before the settings are drawn
-    a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
-    b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
-    # Bits 3..0 of a pattern index are the signs of A1, A2, B1, B2 (RESPONSE_PATTERNS).
-    a_out = 1 - 2 * ((lam >> (4 - a_set)) & 1)
-    b_out = 1 - 2 * ((lam >> (2 - b_set)) & 1)
-    del lam  # 1 B per trial, which the estimate would hold on to
-    log = TrialLog(a_set, b_set, a_out, b_out)
-    return estimate_from_records(log), log
+    return _experiment(_lhv_codes(m, n_trials, seed))
 
 
 def sample_quantum_experiment(
@@ -168,8 +244,9 @@ def sample_quantum_experiment(
     This is the unique pair law with the given correlators and unbiased
     single-party outcomes, so it applies to states whose one-party
     expectations vanish (singlet and Werner states qualify). The stream
-    contract for a given seed is one PCG64 generator (numpy ``default_rng``)
-    and four vectorized draws, in this order:
+    contract for a given seed is one PCG64 generator (numpy ``default_rng``):
+    the trials, and the state the generator is left in, are those of four
+    vectorized draws, in this order:
 
     - the A settings, ``rng.integers(1, 3, size=n_trials)``;
     - the B settings, likewise;
@@ -183,24 +260,45 @@ def sample_quantum_experiment(
     ``1 + (h_i >> 31)``, the B setting ``1 + (h_{n+i} >> 31)``, A's outcome
     ``2 * (h_{2n+i} >> 31) - 1`` and the coin ``(w_{m+i} >> 11) < (1 +
     e_jk) * 2**52`` with ``m = ceil(3n/2)``, the first whole word after the
-    halves. ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the
-    estimate and the trials as a :class:`TrialLog`.
+    halves. The trials are computed from these words a block at a time.
+    ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the estimate and the
+    trials as a :class:`TrialLog`.
     """
-    _check_trials(n_trials)
-    rng = np.random.default_rng(seed)
-    a_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
-    b_set = rng.integers(1, 3, size=n_trials).astype(np.int8)
-    a_out = 2 * rng.integers(0, 2, size=n_trials).astype(np.int8) - 1
-    p_same = (1.0 + np.array([e_table.e11, e_table.e12, e_table.e21, e_table.e22])) / 2.0
-    # Indexing, not take: take converts the int8 pair index to intp, 8 B more per trial.
-    same = rng.random(n_trials) < p_same[_pair_index(a_set, b_set)]
-    log = TrialLog(a_set, b_set, a_out, np.where(same, a_out, -a_out))
-    return estimate_from_records(log), log
+    return _experiment(_quantum_codes(e_table, n_trials, seed))
 
 
 TRIAL_LOG_HEADER = ("trial", "a_setting", "b_setting", "a_outcome", "b_outcome")
 
-_BLOCK = 10**4
+#: Rows per formatting block of the trial log, whose indices share all digits above the last four.
+_ROWS = 10**4
+
+
+def _logged(blocks, stream: IO[bytes]):
+    """The row-code blocks of ``blocks``, each written to ``stream`` as the rows of the next trials before it is
+    passed on; the header is written before the first block is drawn."""
+    # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by the row code.
+    tails = [f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)]
+    row_tails = np.array(tails, dtype="S11")
+    low = np.arange(_ROWS)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    padded = (low // place % 10 + ord("0")).astype(np.uint8)
+    unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
+    padded, unpadded = padded.view("S4")[:, 0], unpadded.view("S4")[:, 0]
+    stream.write(",".join(TRIAL_LOG_HEADER).encode() + b"\n")
+    first = 0
+    for codes in blocks:
+        rest = codes
+        while len(rest):
+            high, offset = divmod(first, _ROWS)
+            size = min(len(rest), _ROWS - offset)
+            prefix = str(high).encode() if high else b""
+            rows = np.empty(size, dtype=[("high", f"S{len(prefix) or 1}"), ("low", "S4"), ("tail", "S11")])
+            rows["high"] = prefix
+            rows["low"] = (padded if high else unpadded)[offset:offset + size]
+            rows["tail"] = row_tails.take(rest[:size])
+            stream.write(rows.tobytes().translate(None, b"\0"))
+            rest, first = rest[size:], first + size
+        yield codes
 
 
 def write_trial_log(log: TrialLog, stream: IO[bytes]) -> None:
@@ -212,21 +310,5 @@ def write_trial_log(log: TrialLog, stream: IO[bytes]) -> None:
     four digits of the low part, zero-padded unless ``h`` is 0, where the
     leading zeros are blanked to NUL instead.
     """
-    # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by 4 * pair index + 2*(x<0) + (y<0).
-    tails = [f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)]
-    row_tails = np.array(tails, dtype="S11")
-    low = np.arange(_BLOCK)[:, None]
-    place = np.array([1000, 100, 10, 1])
-    padded = (low // place % 10 + ord("0")).astype(np.uint8)
-    unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
-    padded, unpadded = padded.view("S4")[:, 0], unpadded.view("S4")[:, 0]
-    stream.write(",".join(TRIAL_LOG_HEADER).encode() + b"\n")
-    for start in range(0, len(log), _BLOCK):
-        a_set, b_set, a_out, b_out = (c[start:start + _BLOCK] for c in log._values())
-        code = 4 * _pair_index(a_set, b_set) + 2 * (a_out < 0) + (b_out < 0)
-        high = str(start // _BLOCK).encode() if start else b""
-        rows = np.empty(len(code), dtype=[("high", f"S{len(high) or 1}"), ("low", "S4"), ("tail", "S11")])
-        rows["high"] = high
-        rows["low"] = (padded if start else unpadded)[:len(code)]
-        rows["tail"] = row_tails.take(code)
-        stream.write(rows.tobytes().translate(None, b"\0"))
+    for _ in _logged([_codes(log)], stream):
+        pass

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +158,18 @@ def test_samplers_refuse_more_than_max_trials_before_drawing(monkeypatch):
         sample_quantum_experiment(CorrelatorTable(0, 0, 0, 0), MAX_TRIALS + 1, seed=1)
     with pytest.raises(ValueError, match=str(MAX_TRIALS)):
         sample_lhv_experiment(LhvModel.uniform16(), MAX_TRIALS + 1, seed=1)
+
+
+def test_estimate_takes_a_few_bytes_per_trial():
+    """The estimate tallies the row codes a block at a time, so it holds about 1 B per trial of codes, not the
+    8-byte indices ``np.bincount`` would cast the whole log to."""
+    n = 10**6
+    log = TrialLog(np.ones(n), np.full(n, 2), np.ones(n), np.full(n, -1))
+    tracemalloc.start()
+    try:
+        estimate = estimate_from_records(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate.counts == (0, n, 0, 0)
+    assert peak < 4 * n
