@@ -37,11 +37,11 @@ MAX_SWEEP_POINTS = 10_000
 #: here, in a module every command loads, so the CLI bounds ``--trials``
 #: without importing the samplers. The commands hold one block of trials at a
 #: time, so the bound is one of time, not memory: on a 2-vCPU Xeon, 1e8 trials
-#: took 1.4 s for ``sample``, 4.4 s with ``--trial-log /dev/null`` and 1.7 s
-#: for ``lhv --preset uniform16``, each at a 35-36 MB peak, as at one trial
-#: (child RSS, spawned from a launcher that imports nothing else). It stays at
-#: 1e8: the library samplers return every trial as a :class:`TrialLog`, about
-#: 8 bytes per trial at peak. Larger counts are refused before any draw.
+#: took 1.6 s for ``sample``, 6.2 s with ``--trial-log /dev/null`` and 2.0 s
+#: for ``lhv --preset uniform16``, each at a 35-37 MB peak, as at one trial
+#: (best of 5, child RSS, from a launcher that imports nothing else). It stays
+#: at 1e8: the library samplers return every trial as a :class:`TrialLog`,
+#: about 8 bytes per trial at peak. Larger counts are refused before any draw.
 MAX_TRIALS = 10**8
 
 

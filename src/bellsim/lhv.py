@@ -116,21 +116,20 @@ def estimate_from_records(log: TrialLog) -> EstimatedTable:
     if not len(log):
         raise ValueError("cannot estimate correlators from an empty trial log")
     # Tallied a block at a time: np.bincount casts its input to 8-byte indices.
-    codes = _codes(log)
-    return _tally(codes[i:i + _BLOCK] for i in range(0, len(codes), _BLOCK))
+    return _tally(_split(log))
 
 
-#: Trials per block: the samplers draw, tally and write one block at a time. A block's largest array, 8 B per
-#: trial, stays under glibc's 128 KiB mmap threshold, so the blocks reuse the same heap pages: at 6 * 10^4 a
-#: 3e5-trial draw took 1,860 fresh pages (about 2 ms) against 460 here.
+#: Trials per block: the samplers draw, tally and write one block at a time, all but the last of exactly this size.
+#: It is one formatting block of the trial log, whose indices share all digits above the last four; and a block's
+#: largest array, 8 B per trial, stays under glibc's 128 KiB mmap threshold, so the blocks reuse the same heap
+#: pages: at 6 * 10^4 a 3e5-trial draw took 1,860 fresh pages (about 2 ms) against 460 here.
 _BLOCK = 10**4
 
 
-def _at(bit_gen, word: int):
-    """A copy of the PCG64 ``bit_gen`` whose next raw word is word ``word`` of its stream."""
-    copy = np.random.PCG64(0)  # the state is replaced, so the seed does not matter
-    copy.state = bit_gen.state
-    return copy.advance(word)
+def _split(log: TrialLog):
+    """The row codes of ``log`` in blocks of ``_BLOCK`` trials."""
+    codes = _codes(log)
+    return (codes[i:i + _BLOCK] for i in range(0, len(codes), _BLOCK))
 
 
 def _top_bits(words: np.ndarray) -> np.ndarray:
@@ -139,30 +138,28 @@ def _top_bits(words: np.ndarray) -> np.ndarray:
 
 
 def _blocks(seed: int, n: int, rule, words: list[int], halves: list[int]):
-    """The int8 row codes of ``n`` trials, a block at a time, from one generator ``default_rng(seed)``.
+    """The int8 row codes of ``n`` trials, a block at a time, from the raw words of ``default_rng(seed)``.
 
     ``rule`` maps a block to its row codes, given the raw words from each word offset in ``words`` and then
-    the top bits of the 32-bit halves from each half offset in ``halves``, both ascending. Each offset is read
-    from a copy of the generator; a run of halves from an odd offset starts at a word's high half, so each
-    copy holds back the one half its block did not use. The generator itself ends as numpy's draws of the
-    same halves and words leave it: past the last word, holding the high half of the last word the halves
-    came from, marked unused when they end at an odd half.
+    the top bits of the 32-bit halves from each half offset in ``halves``. The block starting at trial
+    ``start`` reads each offset plus ``start`` from the generator reset to its seeded state, so a block is
+    fixed by the seed, ``n`` and ``start`` alone.
     """
     if not 1 <= n <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n}")
     bit_gen = np.random.default_rng(seed).bit_generator
-    word_copies, half_copies = [_at(bit_gen, w) for w in words], [_at(bit_gen, h // 2) for h in halves]
-    held = [_top_bits(c.random_raw(h % 2))[1:] for c, h in zip(half_copies, halves)]
+    seeded = bit_gen.state
+
+    def read(word: int, count: int) -> np.ndarray:
+        """``count`` raw words from word ``word`` of the seeded stream."""
+        bit_gen.state = seeded
+        return bit_gen.advance(word).random_raw(count)
+
     for start in range(0, n, _BLOCK):
         size = min(_BLOCK, n - start)
-        bits = [np.concatenate((b, _top_bits(c.random_raw((size - len(b) + 1) // 2))))
-                for c, b in zip(half_copies, held)]
-        yield rule(*[c.random_raw(size) for c in word_copies], *[b[:size] for b in bits])
-        held = [b[size:] for b in bits]
-    last = halves[-1] + n
-    high = int(_at(bit_gen, (last - 1) // 2).random_raw()) >> 32
-    bit_gen.advance(max(words[-1] + n, (last + 1) // 2))
-    bit_gen.state = {**bit_gen.state, "has_uint32": last % 2, "uinteger": high}
+        firsts = [h + start for h in halves]
+        yield rule(*[read(w + start, size) for w in words],
+                   *[_top_bits(read(h // 2, (h % 2 + size + 1) // 2))[h % 2:][:size] for h in firsts])
 
 
 def _lhv_codes(m: LhvModel, n_trials: int, seed: int):
@@ -215,8 +212,8 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     Per trial a fresh pattern is drawn from the model's weights and the two
     setting indices are drawn uniformly, independently of it and of each
     other. The stream contract for a given seed is one PCG64 generator
-    (numpy ``default_rng``): the trials, and the state the generator is left
-    in, are those of three vectorized draws, in this order:
+    (numpy ``default_rng``): the trials are those of three vectorized draws,
+    in this order:
 
     - the pattern indices, ``rng.choice(16, size=n_trials, p=weights)``;
     - the A settings, ``rng.integers(1, 3, size=n_trials)``;
@@ -245,8 +242,7 @@ def sample_quantum_experiment(
     single-party outcomes, so it applies to states whose one-party
     expectations vanish (singlet and Werner states qualify). The stream
     contract for a given seed is one PCG64 generator (numpy ``default_rng``):
-    the trials, and the state the generator is left in, are those of four
-    vectorized draws, in this order:
+    the trials are those of four vectorized draws, in this order:
 
     - the A settings, ``rng.integers(1, 3, size=n_trials)``;
     - the B settings, likewise;
@@ -269,35 +265,27 @@ def sample_quantum_experiment(
 
 TRIAL_LOG_HEADER = ("trial", "a_setting", "b_setting", "a_outcome", "b_outcome")
 
-#: Rows per formatting block of the trial log, whose indices share all digits above the last four.
-_ROWS = 10**4
-
 
 def _logged(blocks, stream: IO[bytes]):
     """The row-code blocks of ``blocks``, each written to ``stream`` as the rows of the next trials before it is
-    passed on; the header is written before the first block is drawn."""
+    passed on; the header is written before the first block is drawn. Every block but the last holds ``_BLOCK``
+    trials, so block ``k`` is the formatting block of the trials from ``k * _BLOCK``."""
     # Row tails ",j,k,x,y\n" as NUL-padded bytes, indexed by the row code.
     tails = [f",{j},{k},{x},{y}\n".encode() for j in (1, 2) for k in (1, 2) for x in (1, -1) for y in (1, -1)]
     row_tails = np.array(tails, dtype="S11")
-    low = np.arange(_ROWS)[:, None]
+    low = np.arange(_BLOCK)[:, None]
     place = np.array([1000, 100, 10, 1])
     padded = (low // place % 10 + ord("0")).astype(np.uint8)
     unpadded = np.where((low < place) & (place > 1), 0, padded).astype(np.uint8)
     padded, unpadded = padded.view("S4")[:, 0], unpadded.view("S4")[:, 0]
     stream.write(",".join(TRIAL_LOG_HEADER).encode() + b"\n")
-    first = 0
-    for codes in blocks:
-        rest = codes
-        while len(rest):
-            high, offset = divmod(first, _ROWS)
-            size = min(len(rest), _ROWS - offset)
-            prefix = str(high).encode() if high else b""
-            rows = np.empty(size, dtype=[("high", f"S{len(prefix) or 1}"), ("low", "S4"), ("tail", "S11")])
-            rows["high"] = prefix
-            rows["low"] = (padded if high else unpadded)[offset:offset + size]
-            rows["tail"] = row_tails.take(rest[:size])
-            stream.write(rows.tobytes().translate(None, b"\0"))
-            rest, first = rest[size:], first + size
+    for high, codes in enumerate(blocks):
+        prefix = str(high).encode() if high else b""
+        rows = np.empty(len(codes), dtype=[("high", f"S{len(prefix) or 1}"), ("low", "S4"), ("tail", "S11")])
+        rows["high"] = prefix
+        rows["low"] = (padded if high else unpadded)[:len(codes)]
+        rows["tail"] = row_tails.take(codes)
+        stream.write(rows.tobytes().translate(None, b"\0"))
         yield codes
 
 
@@ -310,5 +298,5 @@ def write_trial_log(log: TrialLog, stream: IO[bytes]) -> None:
     four digits of the low part, zero-padded unless ``h`` is 0, where the
     leading zeros are blanked to NUL instead.
     """
-    for _ in _logged([_codes(log)], stream):
+    for _ in _logged(_split(log), stream):
         pass

