@@ -7,10 +7,10 @@ seeded finite-statistics experiment simulation on both sides.
 
 Every public name below, and every submodule, is imported on first access,
 so ``import bellsim`` loads no submodule and a command compiles only the
-modules it runs. The exact core that the commands share is defined in two
-modules of its own: ``chsh`` re-exports ``correlators`` (settings,
-correlation tensor, correlator table, CHSH value and bounds) and adds the
-Born-rule traces, the settings search and the Werner threshold; ``lhv``
+modules it runs. The exact core that the commands share is defined apart
+from what only some commands run: ``chsh`` re-exports from ``states`` the
+settings, correlation tensor, correlator table, CHSH value and bounds, and adds
+the Born-rule traces, the settings search and the Werner threshold; ``lhv``
 re-exports ``patterns`` (the 16 patterns, ``LhvModel``, exact correlators,
 the exhaustive bound, named here from ``patterns``) and adds what needs numpy.
 The CLI is split the same way: ``cli`` parses and runs ``chsh`` with
@@ -25,7 +25,7 @@ import sys
 __version__ = "0.1.0"
 
 #: The public names of each public submodule; ``chsh`` lists the names it re-exports from
-#: ``correlators``, while those ``lhv`` re-exports are listed under ``patterns``, which needs no numpy.
+#: ``states``, while those ``lhv`` re-exports are listed under ``patterns``, which needs no numpy.
 _PUBLIC = {
     "chsh": (
         "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "InternalConsistencyError",

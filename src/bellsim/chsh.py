@@ -2,7 +2,7 @@
 maximization over measurement directions, and the Werner visibility threshold.
 
 The exact correlators, the correlation tensor, the settings and the bounds
-are defined in :mod:`bellsim.correlators` and re-exported here. This module
+are defined in :mod:`bellsim.states` and re-exported here. This module
 adds what only ``optimize``, ``werner-sweep`` and library callers run: the
 Born-rule traces, the settings search and the threshold bisection."""
 
@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .correlators import (
+from .observables import UnitVector3
+from .record import Record
+from .states import (
     CLASSICAL_BOUND,
     CLASSICAL_SLACK,
     MAX_SWEEP_POINTS,
@@ -19,6 +21,7 @@ from .correlators import (
     TSIRELSON_SLACK,
     ChshResult,
     CorrelatorTable,
+    DensityMatrix,
     MeasurementSettings,
     Tensor,
     _table,
@@ -26,12 +29,10 @@ from .correlators import (
     chsh_value,
     correlation_tensor,
     correlator_table,
+    make_werner,
     settings_from_polar,
     singlet_optimal_settings,
 )
-from .observables import UnitVector3
-from .record import Record
-from .states import DensityMatrix, make_werner
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:

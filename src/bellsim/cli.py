@@ -22,7 +22,7 @@ import stat
 import sys
 
 from .cli_common import SETTINGS_PRESETS, _bound_lines, _exact_table, _fmt9, _result_dict
-from .correlators import MAX_SWEEP_POINTS, MAX_TRIALS, ChshResult, chsh_value
+from .states import MAX_SWEEP_POINTS, MAX_TRIALS, ChshResult, chsh_value
 
 #: Each subcommand and its help line, in the order ``bellsim --help`` lists them.
 _COMMANDS = {

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import argparse
 
-from .correlators import (
+from .observables import UnitVector3, to_polar
+from .states import (
     ChshResult,
+    DensityMatrix,
     MeasurementSettings,
     aligned_settings,
     correlator_table,
+    make_singlet,
+    make_werner,
     settings_from_polar,
     singlet_optimal_settings,
 )
-from .observables import UnitVector3, to_polar
-from .states import DensityMatrix, make_singlet, make_werner
 
 SETTINGS_PRESETS = {
     "optimal": singlet_optimal_settings,

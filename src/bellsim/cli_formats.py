@@ -27,7 +27,7 @@ def _parse_config_file(path: str, args: argparse.Namespace, keys) -> list[str]:
     try:
         with open(path) as stream:
             text = stream.read(_MAX_CONFIG_CHARS + 1)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     if len(text) > _MAX_CONFIG_CHARS:
         raise ValueError(f"config file {path} holds more than {_MAX_CONFIG_CHARS} characters")

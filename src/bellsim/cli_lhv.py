@@ -9,7 +9,7 @@ import argparse
 import math
 
 from .cli_common import _exact_table, _fmt9
-from .correlators import chsh_value
+from .states import chsh_value
 
 
 def _estimate_dict(estimate) -> dict:

@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .correlators import MAX_TRIALS, CorrelatorTable, chsh_value
 from .patterns import (
     PATTERN_LABELS,
     RESPONSE_PATTERNS,
@@ -28,6 +27,7 @@ from .patterns import (
     lhv_correlators_exact,
 )
 from .record import Record
+from .states import MAX_TRIALS, CorrelatorTable, chsh_value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:

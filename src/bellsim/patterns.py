@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .correlators import CorrelatorTable, chsh_value
 from .record import Record
+from .states import CorrelatorTable, chsh_value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:

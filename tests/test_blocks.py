@@ -14,15 +14,13 @@ one past it and one past two blocks, three things hold:
 import io
 import json
 
-import numpy as np
 import pytest
 
-from bellsim import lhv
 from bellsim.chsh import CorrelatorTable
 from bellsim.cli import main
 from bellsim.cli_lhv import _estimate_dict
 from bellsim.lhv import (
-    RESPONSE_PATTERNS,
+    _BLOCK,
     LhvModel,
     TrialLog,
     estimate_from_records,
@@ -30,49 +28,12 @@ from bellsim.lhv import (
     sample_quantum_experiment,
     write_trial_log,
 )
-
-DEFAULT_RNG = np.random.default_rng
+from stream_reference import lhv_draws, quantum_draws
 
 WEIGHTS = ["0.5", "0", "0", "0.125", "0", "0.25", "0", "0", "0", "0", "0.0625", "0", "0", "0", "0", "0.0625"]
 
-#: (k, d): n = k * block + d.
+#: (k, d): n = k * _BLOCK + d, the samplers' block size being one 10^4-row formatting block of the trial log.
 SIZES = [(1, -1), (1, 0), (1, 1), (2, 1)]
-
-
-@pytest.fixture(params=["default-block"])
-def block() -> int:
-    """The samplers' block size, which the trial log's 10^4-row formatting blocks fix."""
-    return lhv._BLOCK
-
-
-@pytest.fixture
-def generators(monkeypatch) -> list:
-    """Every generator the samplers build, in order."""
-    made = []
-
-    def spy(seed):
-        made.append(DEFAULT_RNG(seed))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", spy)
-    return made
-
-
-def lhv_draws(weights: list[float], n: int, seed: int) -> TrialLog:
-    rng = DEFAULT_RNG(seed)
-    lam = rng.choice(16, size=n, p=np.array(weights))
-    a_set, b_set = rng.integers(1, 3, size=n), rng.integers(1, 3, size=n)
-    resp = np.array(RESPONSE_PATTERNS)
-    return TrialLog(a_set, b_set, resp[lam, a_set - 1], resp[lam, b_set + 1])
-
-
-def quantum_draws(table: CorrelatorTable, n: int, seed: int) -> TrialLog:
-    rng = DEFAULT_RNG(seed)
-    a_set, b_set = rng.integers(1, 3, size=n), rng.integers(1, 3, size=n)
-    a_out = 2 * rng.integers(0, 2, size=n) - 1
-    e = np.array([[table.e11, table.e12], [table.e21, table.e22]])
-    same = rng.random(n) < (1.0 + e[a_set - 1, b_set - 1]) / 2.0
-    return TrialLog(a_set, b_set, a_out, np.where(same, a_out, -a_out))
 
 
 def logged(log: TrialLog) -> bytes:
@@ -88,8 +49,8 @@ def streamed(argv: list[str], tmp_path) -> tuple[dict, bytes]:
 
 
 @pytest.mark.parametrize("k, d", SIZES)
-def test_quantum_blocks(k, d, block, generators, tmp_path, capsys):
-    n, seed = k * block + d, 900 + d
+def test_quantum_blocks(k, d, generators, tmp_path, capsys):
+    n, seed = k * _BLOCK + d, 900 + d
     report, log_bytes = streamed(["sample", "--preset", "optimal", "--trials", str(n), "--seed", str(seed)], tmp_path)
     table = CorrelatorTable(**report["results"]["exact_table"])
     estimate, log = sample_quantum_experiment(table, n, seed)
@@ -102,8 +63,8 @@ def test_quantum_blocks(k, d, block, generators, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("k, d", SIZES)
-def test_lhv_blocks(k, d, block, generators, tmp_path, capsys):
-    n, seed = k * block + d, 700 + d
+def test_lhv_blocks(k, d, generators, tmp_path, capsys):
+    n, seed = k * _BLOCK + d, 700 + d
     report, log_bytes = streamed(["lhv", "--weights", *WEIGHTS, "--trials", str(n), "--seed", str(seed)], tmp_path)
     weights = list(map(float, WEIGHTS))
     estimate, log = sample_lhv_experiment(LhvModel.from_pattern_weights(weights), n, seed)

@@ -571,6 +571,15 @@ def test_config_file_size_is_capped(capsys, tmp_path):
     assert err == f"error: config file {cfg} holds more than {_MAX_CONFIG_CHARS} characters\n"
 
 
+def test_an_undecodable_config_file_exits_two_naming_it(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_bytes(b"\377\n")
+    code, out, err = run_cli(capsys, "chsh", "--preset", "optimal", "--config", "bad.cfg", "--out", "r.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read config file bad.cfg: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
 @pytest.mark.parametrize("key", ["theta_divisions", "phi-divisions", "restarts"])
 def test_config_rejects_removed_grid_keys(capsys, tmp_path, key):
     cfg = tmp_path / "run.cfg"

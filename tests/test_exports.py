@@ -5,7 +5,7 @@ import pytest
 import bellsim
 
 #: Every name ``bellsim`` has exported since it imported its submodules eagerly, by the submodule that
-#: exports it. ``MAX_TRIALS`` is defined in ``correlators`` and re-exported by ``chsh`` and ``lhv`` as the
+#: exports it. ``MAX_TRIALS`` is defined in ``states`` and re-exported by ``chsh`` and ``lhv`` as the
 #: same object.
 PUBLIC = {
     "chsh": [

@@ -18,21 +18,20 @@ other, or without numpy, the four sampled cases are skipped. Two of them run
 2,000 trials, less than one 10^4-trial block; the other two run 20,001, three
 blocks with an odd ``3n`` and log rows past 10^4 and 2 * 10^4. Their four
 trial-log digests are checked a second time, with numpy blocked, against logs
-rebuilt from the raw words of the standard-library PCG64 in
-:mod:`pcg64_reference` by the arithmetic the sampler docstrings state, so that
-they are checked on any host.
+rebuilt by :mod:`stream_reference` from the raw words of the standard-library
+PCG64 in :mod:`pcg64_reference` by the arithmetic the sampler docstrings state,
+so that they are checked on any host.
 """
 
 import hashlib
 import sys
-from itertools import accumulate
 
 import pytest
 
 from bellsim.cli import _parse_args, main
 from bellsim.cli_common import _exact_table
-from bellsim.patterns import RESPONSE_PATTERNS, LhvModel
-from pcg64_reference import MASK32, PCG64
+from bellsim.patterns import LhvModel
+from stream_reference import lhv_words, quantum_words
 
 NUMPY_VERSION = "2.4.6"
 
@@ -110,35 +109,14 @@ def test_seeded_outputs_match_recorded_digests(name, tmp_path, monkeypatch, caps
         assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == log_sha
 
 
-def top_bits(words: list[int]) -> list[int]:
-    """The top bit of each 32-bit half of ``words``, low half first."""
-    return [half >> 31 for w in words for half in (w & MASK32, w >> 32)]
-
-
 def rebuilt_log(name: str) -> bytes:
     """The trial log of a seeded case, rebuilt from the reference words as the sampler docstrings state."""
     cfg = _parse_args(CASES[name][0])
-    n, ref, rows = cfg.trials, PCG64(cfg.seed), []
     if cfg.command == "sample":
-        table = _exact_table(cfg)[0]
-        e = [table.e11, table.e12, table.e21, table.e22]
-        m = (3 * n + 1) // 2  # the coins take whole words, after the halves of settings and A's outcomes
-        words = ref.random_raw(m + n)
-        bits = top_bits(words[:m])
-        for i, coin in enumerate(words[m:]):
-            j, k, a = 1 + bits[i], 1 + bits[n + i], 2 * bits[2 * n + i] - 1
-            same = (coin >> 11) < (1.0 + e[2 * j + k - 3]) * 2.0**52
-            rows.append((j, k, a, a if same else -a))
+        columns = quantum_words(_exact_table(cfg)[0], cfg.trials, cfg.seed)
     else:
-        cdf = list(accumulate(LhvModel.from_pattern_weights(cfg.weights).weights))
-        cdf = [c / cdf[-1] for c in cdf]
-        words = ref.random_raw(2 * n)
-        bits = top_bits(words[n:])
-        for i, w in enumerate(words[:n]):
-            pattern = RESPONSE_PATTERNS[sum(c <= (w >> 11) * 2.0**-53 for c in cdf)]
-            j, k = 1 + bits[i], 1 + bits[n + i]
-            rows.append((j, k, pattern[j - 1], pattern[k + 1]))
-    body = "".join(f"{i},{j},{k},{x},{y}\n" for i, (j, k, x, y) in enumerate(rows))
+        columns = lhv_words(LhvModel.from_pattern_weights(cfg.weights).weights, cfg.trials, cfg.seed)
+    body = "".join(f"{i},{j},{k},{x},{y}\n" for i, (j, k, x, y) in enumerate(zip(*columns)))
     return ("trial,a_setting,b_setting,a_outcome,b_outcome\n" + body).encode()
 
 

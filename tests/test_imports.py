@@ -60,14 +60,14 @@ def test_package_import_loads_no_submodule():
 def test_submodule_attribute_after_a_bare_import():
     """``bellsim.chsh`` imports the submodule, and its dependencies only, on first access."""
     code = f"import json, sys, bellsim\nvalue = bellsim.chsh.chsh_value\nprint({_SUBMODULES})"
-    assert json.loads(_fresh(code)) == ["bellsim.chsh", "bellsim.correlators", "bellsim.observables", "bellsim.record", "bellsim.states"]
+    assert json.loads(_fresh(code)) == ["bellsim.chsh", "bellsim.observables", "bellsim.record", "bellsim.states"]
 
 
 def test_a_matrix_state_loads_linalg_and_not_chsh():
     """The tensor of a state given as a matrix comes from ``linalg``, imported downward by ``states``."""
     code = (
         "import json, sys\nimport numpy as np\n"
-        "from bellsim.correlators import correlation_tensor, correlator_table, singlet_optimal_settings\n"
+        "from bellsim.states import correlation_tensor, correlator_table, singlet_optimal_settings\n"
         "from bellsim.states import DensityMatrix\n"
         "g = np.random.default_rng(2201).normal(size=(4, 8)).view(np.complex128)\n"
         "m = g @ g.conj().T\n"
@@ -76,8 +76,8 @@ def test_a_matrix_state_loads_linalg_and_not_chsh():
         "correlation_tensor(rho)\n"
         f"print({_SUBMODULES})"
     )
-    assert json.loads(_fresh(code)) == ["bellsim.correlators", "bellsim.linalg", "bellsim.observables",
-                                        "bellsim.record", "bellsim.states"]
+    assert json.loads(_fresh(code)) == ["bellsim.linalg", "bellsim.observables", "bellsim.record",
+                                        "bellsim.states"]
 
 
 def test_singlet_and_werner_library_calls_load_no_linalg():
@@ -109,7 +109,7 @@ def test_no_module_imports_one_that_imports_it_back():
                 targets |= {a.name.split(".")[1] for a in node.names if a.name.startswith("bellsim.")}
         graph[path.stem] = targets
     assert graph["linalg"] == {"record"} and graph["record"] == set()
-    assert graph["correlators"] == {"observables", "record", "states"}
+    assert graph["states"] == {"linalg", "observables", "record"}
     order: list[str] = []  # a topological order exists iff the graph has no cycle
     while len(order) < len(graph):
         ready = sorted(m for m in graph if m not in order and graph[m] <= set(order))
@@ -164,7 +164,7 @@ def test_exact_lhv_names_run_without_numpy():
 #: and the states, directions and records under them. No command imports ``bellsim.cli``, which
 #: would compile and run ``cli.py`` a second time, so no row lists it and an import of it fails
 #: the row.
-CORE = ("bellsim.cli_common", "bellsim.correlators", "bellsim.observables", "bellsim.record", "bellsim.states")
+CORE = ("bellsim.cli_common", "bellsim.observables", "bellsim.record", "bellsim.states")
 #: What the other commands add: the settings search and its runners, the exact LHV models and
 #: the runners of lhv and sample, the samplers, and the config and CSV formats.
 SEARCH = ("bellsim.chsh", "bellsim.cli_search")
