@@ -7,12 +7,15 @@ seeded finite-statistics experiment simulation on both sides.
 
 Every public name below, and every submodule, is imported on first access,
 so ``import bellsim`` loads no submodule and a command compiles only the
-modules it runs. The exact core that the commands share is defined apart
-from what only some commands run: ``chsh`` re-exports from ``states`` the
-settings, correlation tensor, correlator table, CHSH value and bounds, and adds
-the Born-rule traces, the settings search and the Werner threshold; ``lhv``
-re-exports ``patterns`` (the 16 patterns, ``LhvModel``, exact correlators,
-the exhaustive bound, named here from ``patterns``) and adds what needs numpy.
+modules it runs. Each public name resolves from the module that defines it.
+The exact core that the commands share is defined apart from what only some
+commands run: ``states`` defines the settings, correlation tensor, correlator
+table, CHSH value and bounds, which ``chsh`` re-exports as it adds the
+Born-rule traces, the settings search and the Werner threshold; ``patterns``
+defines the 16 patterns, ``LhvModel``, the exact correlators and the
+exhaustive bound, which ``lhv`` re-exports as it adds what needs numpy. So
+``bellsim.correlator_table`` loads no settings search, and
+``bellsim.LhvModel`` no numpy.
 The CLI is split the same way: ``cli`` parses and runs ``chsh`` with
 ``cli_common``, and imports ``cli_search``, ``cli_lhv`` or ``cli_formats``
 only for the commands and formats that run them. ``linalg``, what only a
@@ -24,15 +27,12 @@ import sys
 
 __version__ = "0.1.0"
 
-#: The public names of each public submodule; ``chsh`` lists the names it re-exports from
-#: ``states``, while those ``lhv`` re-exports are listed under ``patterns``, which needs no numpy.
+#: The public names, each under the submodule that defines it: ``chsh`` and ``lhv`` list only the
+#: names they add to those they re-export from ``states`` and ``patterns``.
 _PUBLIC = {
     "chsh": (
-        "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "InternalConsistencyError",
-        "MAX_TRIALS", "MeasurementSettings", "TSIRELSON_BOUND", "aligned_settings",
-        "born_expectation", "chsh_quantum", "chsh_value", "correlation_tensor", "correlator_table",
-        "horodecki_max_s", "optimize_settings", "optimize_settings_traced", "quantum_correlator",
-        "settings_from_polar", "singlet_correlator_analytic", "singlet_optimal_settings", "werner_threshold",
+        "InternalConsistencyError", "born_expectation", "chsh_quantum", "horodecki_max_s", "optimize_settings",
+        "optimize_settings_traced", "quantum_correlator", "singlet_correlator_analytic", "werner_threshold",
     ),
     "lhv": (
         "EstimatedTable", "TrialLog", "estimate_from_records", "sample_lhv_experiment",
@@ -42,7 +42,11 @@ _PUBLIC = {
     "observables": ("UnitVector3", "X_AXIS", "Y_AXIS", "Z_AXIS", "from_polar", "spin_observable", "to_polar"),
     "patterns": ("LhvModel", "RESPONSE_PATTERNS", "classical_bound_exhaustive", "deterministic_chsh_values",
                  "lhv_correlators_exact"),
-    "states": ("DensityMatrix", "make_singlet", "make_werner", "werner_matrix"),
+    "states": (
+        "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "DensityMatrix", "MAX_TRIALS", "MeasurementSettings",
+        "TSIRELSON_BOUND", "aligned_settings", "chsh_value", "correlation_tensor", "correlator_table",
+        "make_singlet", "make_werner", "settings_from_polar", "singlet_optimal_settings", "werner_matrix",
+    ),
 }
 
 #: Each public name, and each submodule under its own name, to the submodule that defines it.

@@ -25,7 +25,7 @@ def _parse_config_file(path: str, args: argparse.Namespace, keys) -> list[str]:
     :data:`_MAX_CONFIG_CHARS` characters.
     """
     try:
-        with open(path) as stream:
+        with open(path, encoding="utf-8-sig") as stream:
             text = stream.read(_MAX_CONFIG_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc

@@ -1,5 +1,5 @@
-"""Fixtures shared by the sampler tests. numpy is imported only inside them: the
-golden digests are collected and checked where numpy is not installed."""
+"""Fixtures shared by the sampler and CLI tests. numpy is imported only inside them:
+the golden digests are collected and checked where numpy is not installed."""
 
 import pytest
 
@@ -17,3 +17,14 @@ def generators(monkeypatch) -> list:
 
     monkeypatch.setattr(np.random, "default_rng", spy)
     return made
+
+
+@pytest.fixture
+def no_draws(monkeypatch) -> None:
+    """Fail the test if the samplers build a generator: it must stop before anything is drawn."""
+    import numpy as np
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built although nothing may be drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)

@@ -16,6 +16,10 @@ from itertools import accumulate
 from bellsim.patterns import RESPONSE_PATTERNS
 from pcg64_reference import MASK32, PCG64
 
+#: The pattern weights, as ``lhv --weights`` takes them, of the model the golden, block, entry-point and
+#: import tests run: five patterns at dyadic weights, which sum to exactly 1.
+WEIGHTS = ["0.5", "0", "0", "0.125", "0", "0.25", "0", "0", "0", "0", "0.0625", "0", "0", "0", "0", "0.0625"]
+
 
 def _generator(seed: int):
     """The generator ``default_rng(seed)`` builds, built directly so that the ``generators`` spy does not count it."""

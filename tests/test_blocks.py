@@ -28,9 +28,7 @@ from bellsim.lhv import (
     sample_quantum_experiment,
     write_trial_log,
 )
-from stream_reference import lhv_draws, quantum_draws
-
-WEIGHTS = ["0.5", "0", "0", "0.125", "0", "0.25", "0", "0", "0", "0", "0.0625", "0", "0", "0", "0", "0.0625"]
+from stream_reference import WEIGHTS, lhv_draws, quantum_draws
 
 #: (k, d): n = k * _BLOCK + d, the samplers' block size being one 10^4-row formatting block of the trial log.
 SIZES = [(1, -1), (1, 0), (1, 1), (2, 1)]

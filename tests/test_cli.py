@@ -351,15 +351,12 @@ def test_trial_log_path_is_recorded_in_pathlib_spelling(capsys, tmp_path, monkey
     assert (tmp_path / "logs" / "t.csv").read_text().count("\n") == 6
 
 
+@pytest.mark.usefixtures("no_draws")
 @pytest.mark.parametrize("command", [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]],
                          ids=lambda c: c[0])
 @pytest.mark.parametrize("via_config", [False, True])
 def test_out_and_trial_log_naming_one_file_exit_two_before_drawing(capsys, tmp_path, monkeypatch, command,
                                                                    via_config):
-    def no_generator(*args, **kwargs):
-        raise AssertionError("a generator was built although the report would overwrite the log")
-
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
     monkeypatch.chdir(tmp_path)
     if via_config:
         # the relative and the absolute spelling of one file
@@ -380,14 +377,11 @@ UNWRITABLE_LOGS = {"missing/t.csv": "[Errno 2] No such file or directory: 'missi
                    "/": "[Errno 21] Is a directory: '/'"}
 
 
+@pytest.mark.usefixtures("no_draws")
 @pytest.mark.parametrize("command", [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]],
                          ids=lambda c: c[0])
 @pytest.mark.parametrize("log", UNWRITABLE_LOGS)
 def test_an_unwritable_trial_log_exits_two_before_drawing(capsys, tmp_path, monkeypatch, command, log):
-    def no_generator(*args, **kwargs):
-        raise AssertionError("a generator was built although the trial log cannot be written")
-
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *command, "--trials", "5", "--trial-log", log)
     assert (code, out, err) == (2, "", f"error: {UNWRITABLE_LOGS[log]}\n")
@@ -401,13 +395,10 @@ SAME_AS_CONFIG = [(command, option, spelling) for command in ("chsh", "sample")
                   if not (option == "--trial-log" and spelling == "config line")]
 
 
+@pytest.mark.usefixtures("no_draws")
 @pytest.mark.parametrize("command, option, spelling", SAME_AS_CONFIG, ids=[" ".join(c) for c in SAME_AS_CONFIG])
 def test_an_output_naming_the_config_file_exits_two_and_leaves_it(capsys, tmp_path, monkeypatch, command, option,
                                                                    spelling):
-    def no_generator(*args, **kwargs):
-        raise AssertionError("a generator was built although an output would overwrite the config")
-
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
     monkeypatch.chdir(tmp_path)
     text = "preset = optimal\n" + ("out = ./run.cfg\n" if spelling == "config line" else "")
     Path("run.cfg").write_text(text)
@@ -580,6 +571,17 @@ def test_an_undecodable_config_file_exits_two_naming_it(capsys, tmp_path, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
+def test_a_config_file_with_a_byte_order_mark_runs_as_one_without(capsys, tmp_path, monkeypatch):
+    """Many Windows editors start a UTF-8 file with the mark U+FEFF; it is not part of the first key."""
+    monkeypatch.chdir(tmp_path)
+    text = "state = werner:0.9  # the first key\npreset = optimal\n".encode()
+    Path("plain.cfg").write_bytes(text)
+    Path("bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    plain = run_cli(capsys, "chsh", "--config", "plain.cfg")
+    assert plain[0] == 0 and json.loads(plain[1])["inputs"]["state"] == "werner:0.9"
+    assert run_cli(capsys, "chsh", "--config", "bom.cfg") == plain
+
+
 @pytest.mark.parametrize("key", ["theta_divisions", "phi-divisions", "restarts"])
 def test_config_rejects_removed_grid_keys(capsys, tmp_path, key):
     cfg = tmp_path / "run.cfg"
@@ -607,13 +609,10 @@ def test_reports_validate_against_schema(capsys):
     run_json(capsys, "sample", "--preset", "optimal", "--trials", "100")
 
 
+@pytest.mark.usefixtures("no_draws")
 @pytest.mark.parametrize("command", [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]])
 @pytest.mark.parametrize("via_config", [False, True])
-def test_trials_above_max_exit_two_before_drawing(capsys, tmp_path, monkeypatch, command, via_config):
-    def no_generator(*args, **kwargs):
-        raise AssertionError("a generator was built for an oversized trial count")
-
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
+def test_trials_above_max_exit_two_before_drawing(capsys, tmp_path, command, via_config):
     if via_config:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"trials = {MAX_TRIALS + 1}\n")

@@ -1,11 +1,13 @@
-"""The CLI help and the README state the defaults and config keys that the CLI uses."""
+"""The CLI help and the README state the defaults, config keys and count bounds that the CLI uses."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
 from bellsim import cli
+from bellsim.states import MAX_SWEEP_POINTS, MAX_TRIALS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: Options with a default on each subcommand, besides --format and --seed.
@@ -15,6 +17,11 @@ DEFAULTED = {
     "werner-sweep": {"p_min", "p_max", "points"},
     "lhv": set(),
     "sample": {"state"},
+}
+#: Each bounded count option: the README bullet that states its range, and its upper bound in the code.
+BOUNDS = {
+    "trials": (r"\* `--trials` \(on `sample` and `lhv`\) takes (\d+) to 10\^(\d+) trials", MAX_TRIALS),
+    "points": (r"\* `werner-sweep --points` takes (\d+) to 10\^(\d+) points", MAX_SWEEP_POINTS),
 }
 
 
@@ -44,3 +51,16 @@ def test_readme_config_keys_match_the_cli():
     listed = re.search(r"Recognized keys: (.*?)\. ", text, re.S).group(1)
     keys = {k.strip(" `\n") for k in listed.split(",")}
     assert keys == set(cli._OPTIONS)
+
+
+@pytest.mark.parametrize("option", sorted(BOUNDS))
+def test_readme_states_the_bounds_the_cli_checks(option):
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    pattern, high = BOUNDS[option]
+    low, exponent = map(int, re.search(pattern, section).groups())
+    assert 10**exponent == high
+    check = cli._OPTIONS[option]["type"]
+    assert (check(str(low)), check(str(high))) == (low, high)
+    for outside in (low - 1, high + 1):
+        with pytest.raises(argparse.ArgumentTypeError):
+            check(str(outside))

@@ -14,17 +14,16 @@ from pathlib import Path
 import pytest
 
 from bellsim.cli import main
+from stream_reference import WEIGHTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-WEIGHTS = ["0.5", "0", "0", "0.125", "0", "0.25", "0", "0", "0", "0", "0.0625", "0", "0", "0", "0", "0.0625"]
 
 #: (argv, exit code); every output file is named relative to the working directory.
 PANEL = [
     (["chsh", "--preset", "optimal"], 0),
     (["optimize", "--format", "csv"], 0),
     (["sample", "--preset", "optimal", "--trials", "1001", "--out", "r.json", "--trial-log", "t.csv"], 0),
-    (["lhv", "--weights", *WEIGHTS, "--trials", "7"], 0),
+    (["lhv", "--weights", *WEIGHTS, "--trials", "7", "--trial-log", "u.csv"], 0),
     (["--help"], 0),
     (["chsh", "--state", "werner:1.5", "--preset", "optimal"], 2),
 ]
@@ -96,12 +95,13 @@ def test_broken_pipe_at_the_final_flush_exits_two(tmp_path):
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
+#: The two sampling commands, each at a preset.
+SAMPLING = [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]]
 #: The console entry point on a host without numpy: ``None`` in ``sys.modules`` makes every import of it fail.
 WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom bellsim.cli import run\nrun()"
 
 
-@pytest.mark.parametrize("argv", [["sample", "--preset", "optimal"], ["lhv", "--preset", "uniform16"]],
-                         ids=["sample", "lhv"])
+@pytest.mark.parametrize("argv", SAMPLING, ids=["sample", "lhv"])
 def test_sampling_without_numpy_exits_two_before_any_output(argv, tmp_path):
     """The samplers' module imports numpy as it loads, after the option checks and before the outputs open."""
     proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv, "--trials", "10", "--out", "r.json",
@@ -113,7 +113,8 @@ def test_sampling_without_numpy_exits_two_before_any_output(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_max_trials_run_within_512_mib(tmp_path):
+@pytest.mark.parametrize("argv", SAMPLING, ids=["sample", "lhv"])
+def test_max_trials_run_within_512_mib(argv, tmp_path):
     """The samplers hold one block of trials at a time, so 10^8 trials, the bound, run under a 512 MiB
     address-space limit set in this one child only. One OpenBLAS thread keeps numpy's own start-up within
     the limit. Running out of memory is still exit 2 (``test_cli.py``)."""
@@ -121,9 +122,12 @@ def test_max_trials_run_within_512_mib(tmp_path):
     limit = 512 << 20
     code = (f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
             "from bellsim.cli import run\nrun()")
-    argv = ["sample", "--preset", "optimal", "--trials", "100000000", "--out", "/dev/null"]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=_env(OPENBLAS_NUM_THREADS="1"),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--trials", "100000000", "--out", "/dev/null"],
+                          cwd=tmp_path, env=_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+                          timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    counts = proc.stdout.splitlines()[-1].removeprefix("per-pair trials: ")
-    assert sum(map(int, counts.split())) == 10**8
+    summary = proc.stdout.splitlines()[-1]
+    if argv[0] == "sample":
+        assert sum(map(int, summary.removeprefix("per-pair trials: ").split())) == 10**8
+    else:
+        assert summary.endswith("(100000000 trials, seed 0)")

@@ -5,29 +5,38 @@ import pytest
 import bellsim
 
 #: Every name ``bellsim`` has exported since it imported its submodules eagerly, by the submodule that
-#: exports it. ``MAX_TRIALS`` is defined in ``states`` and re-exported by ``chsh`` and ``lhv`` as the
+#: defines it. ``MAX_TRIALS`` is defined in ``states`` and re-exported by ``chsh`` and ``lhv`` as the
 #: same object.
 PUBLIC = {
     "chsh": [
-        "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "InternalConsistencyError", "MAX_TRIALS",
-        "MeasurementSettings", "TSIRELSON_BOUND", "aligned_settings", "born_expectation", "chsh_quantum",
-        "chsh_value", "correlation_tensor", "correlator_table", "horodecki_max_s", "optimize_settings",
-        "optimize_settings_traced", "quantum_correlator", "settings_from_polar", "singlet_correlator_analytic",
-        "singlet_optimal_settings", "werner_threshold",
+        "InternalConsistencyError", "born_expectation", "chsh_quantum", "horodecki_max_s", "optimize_settings",
+        "optimize_settings_traced", "quantum_correlator", "singlet_correlator_analytic", "werner_threshold",
     ],
     "lhv": [
-        "EstimatedTable", "LhvModel", "RESPONSE_PATTERNS", "TrialLog", "classical_bound_exhaustive",
-        "deterministic_chsh_values", "estimate_from_records", "lhv_correlators_exact", "sample_lhv_experiment",
-        "sample_quantum_experiment", "write_trial_log",
+        "EstimatedTable", "TrialLog", "estimate_from_records", "sample_lhv_experiment", "sample_quantum_experiment",
+        "write_trial_log",
     ],
     "linalg": ["ComplexMatrix", "StateDiagnostics", "min_eigenvalue_hermitian", "validate"],
     "observables": ["UnitVector3", "X_AXIS", "Y_AXIS", "Z_AXIS", "from_polar", "spin_observable", "to_polar"],
-    "states": ["DensityMatrix", "make_singlet", "make_werner", "werner_matrix"],
+    "patterns": ["LhvModel", "RESPONSE_PATTERNS", "classical_bound_exhaustive", "deterministic_chsh_values",
+                 "lhv_correlators_exact"],
+    "states": [
+        "CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "DensityMatrix", "MAX_TRIALS", "MeasurementSettings",
+        "TSIRELSON_BOUND", "aligned_settings", "chsh_value", "correlation_tensor", "correlator_table",
+        "make_singlet", "make_werner", "settings_from_polar", "singlet_optimal_settings", "werner_matrix",
+    ],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
-#: What ``from bellsim import *`` bound: every public name, the five submodules and ``patterns``, which
-#: defines the exact LHV names that ``lhv`` re-exports.
-STAR = {name for _, name in NAMES} | set(PUBLIC) | {"patterns"}
+#: The names that ``chsh`` and ``lhv`` re-export, to the one that does: callers spell them
+#: ``bellsim.chsh.X`` and ``bellsim.lhv.X`` as they did when ``bellsim`` named them from there.
+REEXPORTED = {
+    **dict.fromkeys(["CLASSICAL_BOUND", "ChshResult", "CorrelatorTable", "MAX_TRIALS", "MeasurementSettings",
+                     "TSIRELSON_BOUND", "aligned_settings", "chsh_value", "correlation_tensor", "correlator_table",
+                     "settings_from_polar", "singlet_optimal_settings"], "chsh"),
+    **dict.fromkeys(PUBLIC["patterns"], "lhv"),
+}
+#: What ``from bellsim import *`` bound: every public name and the six submodules that define them.
+STAR = {name for _, name in NAMES} | set(PUBLIC)
 
 
 @pytest.mark.parametrize(("module", "name"), NAMES, ids=[name for _, name in NAMES])
@@ -37,6 +46,8 @@ def test_public_name_is_the_defining_modules_object(module, name):
     defined = getattr(getattr(bellsim, module), name)
     assert getattr(bellsim, name) is defined
     assert namespace[name] is defined
+    if name in REEXPORTED:
+        assert getattr(getattr(bellsim, REEXPORTED[name]), name) is defined
 
 
 def test_max_trials_has_one_definition():

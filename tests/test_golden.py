@@ -31,11 +31,9 @@ import pytest
 from bellsim.cli import _parse_args, main
 from bellsim.cli_common import _exact_table
 from bellsim.patterns import LhvModel
-from stream_reference import lhv_words, quantum_words
+from stream_reference import WEIGHTS, lhv_words, quantum_words
 
 NUMPY_VERSION = "2.4.6"
-
-WEIGHTS = ["0.5", "0", "0", "0.125", "0", "0.25", "0", "0", "0", "0", "0.0625", "0", "0", "0", "0", "0.0625"]
 
 CASES = {
     "sample": (

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from stream_reference import WEIGHTS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-WEIGHTS = ["0.5", "0", "0", "0.125", "0", "0.25", "0", "0", "0", "0", "0.0625", "0", "0", "0", "0", "0.0625"]
 ANGLES = ["--a1", "0.3", "1.1", "--a2", "2.0", "5.5", "--b1", "1.2", "0.4", "--b2", "2.9", "3.3"]
 
 
@@ -61,6 +62,14 @@ def test_submodule_attribute_after_a_bare_import():
     """``bellsim.chsh`` imports the submodule, and its dependencies only, on first access."""
     code = f"import json, sys, bellsim\nvalue = bellsim.chsh.chsh_value\nprint({_SUBMODULES})"
     assert json.loads(_fresh(code)) == ["bellsim.chsh", "bellsim.observables", "bellsim.record", "bellsim.states"]
+
+
+def test_a_name_defined_in_states_loads_no_settings_search():
+    """The package binds each name from the module that defines it, not from ``chsh``, which re-exports it."""
+    code = ("import json, sys, bellsim\n"
+            "bellsim.correlator_table, bellsim.correlation_tensor, bellsim.MeasurementSettings\n"
+            f"print({_SUBMODULES})")
+    assert json.loads(_fresh(code)) == ["bellsim.observables", "bellsim.record", "bellsim.states"]
 
 
 def test_a_matrix_state_loads_linalg_and_not_chsh():

@@ -149,11 +149,8 @@ def test_trial_log_roundtrip(n, seed):
     assert estimate_from_records(back) == estimate_from_records(log)
 
 
-def test_samplers_refuse_more_than_max_trials_before_drawing(monkeypatch):
-    def no_generator(*args, **kwargs):
-        raise AssertionError("a generator was built for an oversized trial count")
-
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
+@pytest.mark.usefixtures("no_draws")
+def test_samplers_refuse_more_than_max_trials_before_drawing():
     with pytest.raises(ValueError, match=str(MAX_TRIALS)):
         sample_quantum_experiment(CorrelatorTable(0, 0, 0, 0), MAX_TRIALS + 1, seed=1)
     with pytest.raises(ValueError, match=str(MAX_TRIALS)):
