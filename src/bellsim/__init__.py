@@ -35,7 +35,7 @@ _PUBLIC = {
         "optimize_settings_traced", "quantum_correlator", "singlet_correlator_analytic", "werner_threshold",
     ),
     "lhv": (
-        "EstimatedTable", "TrialLog", "estimate_from_records", "sample_lhv_experiment",
+        "EstimatedTable", "TrialLog", "estimate_from_records", "sample_experiment", "sample_lhv_experiment",
         "sample_quantum_experiment", "write_trial_log",
     ),
     "linalg": ("ComplexMatrix", "StateDiagnostics", "min_eigenvalue_hermitian", "validate"),
@@ -62,8 +62,7 @@ def __getattr__(name: str):
     qualified = f"{__name__}.{_EXPORTS[name]}"
     __import__(qualified)
     module = sys.modules[qualified]
-    value = module if name == _EXPORTS[name] else getattr(module, name)
-    globals()[name] = value
+    value = globals()[name] = module if name == _EXPORTS[name] else getattr(module, name)
     return value
 
 

@@ -64,9 +64,7 @@ def _run_lhv(cfg: argparse.Namespace):
     human.append(f"S   = {_fmt9(s)}")
     diagnostics: dict = {"labels": list(PATTERN_LABELS)}
     if cfg.trials is not None:
-        from .lhv import _lhv_codes
-
-        estimate = _sample(cfg, _lhv_codes, model)
+        estimate = _sample(cfg, model)
         results["estimate"] = _estimate_dict(estimate)
         diagnostics["trial_log"] = cfg.trial_log
         human.append(
@@ -81,10 +79,8 @@ def _run_sample(cfg: argparse.Namespace):
     if cfg.trials is None:
         raise ValueError("sample requires --trials")
     exact, _, inputs = _exact_table(cfg)
-    from .lhv import _quantum_codes
-
     exact_s = chsh_value(exact)
-    estimate = _sample(cfg, _quantum_codes, exact)
+    estimate = _sample(cfg, exact)
     results = {"exact_table": exact.as_dict(), "exact_s": exact_s, "estimate": _estimate_dict(estimate)}
     human = [
         f"sample  state={cfg.state}  trials={cfg.trials}  seed={cfg.seed}",
@@ -97,14 +93,13 @@ def _run_sample(cfg: argparse.Namespace):
     return {**inputs, "trials": cfg.trials}, results, {"trial_log": cfg.trial_log}, human, None
 
 
-def _sample(cfg: argparse.Namespace, codes, source):
-    """The estimate of the ``cfg.trials`` trials whose row codes ``codes`` draws from ``source``. Each block of
-    trials is tallied, and written to --trial-log if it is given, before the next is drawn. The log is opened
+def _sample(cfg: argparse.Namespace, source):
+    """The estimate of ``cfg.trials`` trials drawn from ``source``, an LHV model or a correlator table. Each block
+    of trials is tallied, and written to --trial-log if it is given, before the next is drawn. The log is opened
     before the first draw, so an unwritable path exits 2 without sampling."""
-    from .lhv import _logged, _tally
+    from .lhv import sample_experiment
 
-    blocks = codes(source, cfg.trials, cfg.seed)
     if cfg.trial_log is None:
-        return _tally(blocks)
+        return sample_experiment(source, cfg.trials, cfg.seed)[0]
     with open(cfg.trial_log, "wb") as stream:
-        return _tally(_logged(blocks, stream))
+        return sample_experiment(source, cfg.trials, cfg.seed, stream)[0]

@@ -8,8 +8,9 @@ locality is structural.
 
 The patterns, the models and their exact correlators are defined in
 :mod:`bellsim.patterns`, from which ``bellsim`` names them, and re-exported
-here. This module adds the seeded samplers, the estimate and the trial log,
-which only ``sample`` and ``lhv --trials`` load; it imports numpy as it loads.
+here. This module adds the estimate, the trial log and the one seeded sampler,
+:func:`sample_experiment`, which ``sample``, ``lhv --trials`` and the library
+samplers call; only those commands load it, and it imports numpy as it loads.
 """
 
 from __future__ import annotations
@@ -34,36 +35,42 @@ if TYPE_CHECKING:
     from typing import IO
 
 
-def _all_in(column: np.ndarray, allowed: tuple[int, int]) -> bool:
-    return bool(((column == allowed[0]) | (column == allowed[1])).all())
-
-
 class TrialLog(Record):
-    """Sampled trials as four int8 columns; trial ``i`` is row ``i``.
+    """Sampled trials as one read-only int8 row code each, ``4 * pair + 2 * (a < 0) + (b < 0)`` for the outcomes
+    a, b at the setting pair (j, k) = 2*(j-1) + (k-1), its place in the (11, 12, 21, 22) order of a table. A log
+    equals another log holding the same trials in the same order; logs are unhashable."""
 
-    A log equals another log holding the same trials in the same order; logs
-    are unhashable.
-    """
-
-    __slots__ = ("a_setting", "b_setting", "a_outcome", "b_outcome")
+    __slots__ = ("codes",)
 
     def __init__(self, a_setting: np.ndarray, b_setting: np.ndarray, a_outcome: np.ndarray,
                  b_outcome: np.ndarray) -> None:
         cols = [np.asarray(c) for c in (a_setting, b_setting, a_outcome, b_outcome)]
         if not all(c.ndim == 1 and len(c) == len(cols[0]) for c in cols):
             raise ValueError("trial log columns must be 1-D and of equal length")
-        if not (all(_all_in(c, (1, 2)) for c in cols[:2]) and all(_all_in(c, (1, -1)) for c in cols[2:])):
+        if not all(((c == 1) | (c == other)).all() for c, other in zip(cols, (2, 2, -1, -1))):
             raise ValueError("trial log settings must be 1 or 2 and outcomes +1 or -1")
-        for name, c in zip(self.__slots__, cols):
-            object.__setattr__(self, name, c.astype(np.int8, copy=False))
+        a_set, b_set, a_out, b_out = cols
+        self._store((8 * a_set + 4 * b_set - 12 + (1 - a_out) + (1 - b_out) // 2).astype(np.int8))
+
+    def _store(self, codes: np.ndarray) -> TrialLog:
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        return self
+
+    def __setstate__(self, state):  # a deep copy or an unpickled array is writable again
+        self._store(state[1]["codes"])
+
+    # The int8 columns, derived on read: writing into one leaves the log as it was.
+    a_setting = property(lambda self: 1 + (self.codes >> 3))
+    b_setting = property(lambda self: 1 + ((self.codes >> 2) & 1))
+    a_outcome = property(lambda self: 1 - (self.codes & 2))
+    b_outcome = property(lambda self: 1 - 2 * (self.codes & 1))
 
     def __len__(self) -> int:
-        return len(self.a_setting)
+        return len(self.codes)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, TrialLog):
-            return all(map(np.array_equal, self._values(), other._values()))
-        return NotImplemented
+        return np.array_equal(self.codes, other.codes) if isinstance(other, TrialLog) else NotImplemented
 
 
 class EstimatedTable(Record):
@@ -92,12 +99,6 @@ class EstimatedTable(Record):
         return math.sqrt(sum(se * se for se in self.std_errors))
 
 
-def _codes(log: TrialLog) -> np.ndarray:
-    """Each trial's row code ``4 * pair + 2 * (a < 0) + (b < 0)``, where the setting pair (j, k) is
-    2*(j-1) + (k-1), its place in the (11, 12, 21, 22) order of a table."""
-    return 8 * log.a_setting + 4 * log.b_setting - 12 + (1 - log.a_outcome) + (1 - log.b_outcome) // 2
-
-
 def _estimate(tally: np.ndarray) -> EstimatedTable:
     """The estimate from the 16-bin tally of the row codes."""
     bins = tally.reshape(4, 4).tolist()
@@ -116,7 +117,7 @@ def estimate_from_records(log: TrialLog) -> EstimatedTable:
     if not len(log):
         raise ValueError("cannot estimate correlators from an empty trial log")
     # Tallied a block at a time: np.bincount casts its input to 8-byte indices.
-    return _tally(_split(log))
+    return _estimate(sum(np.bincount(codes, minlength=16) for codes in _split(log)))
 
 
 #: Trials per block: the samplers draw, tally and write one block at a time, all but the last of exactly this size.
@@ -128,8 +129,7 @@ _BLOCK = 10**4
 
 def _split(log: TrialLog):
     """The row codes of ``log`` in blocks of ``_BLOCK`` trials."""
-    codes = _codes(log)
-    return (codes[i:i + _BLOCK] for i in range(0, len(codes), _BLOCK))
+    return (log.codes[i:i + _BLOCK] for i in range(0, len(log), _BLOCK))
 
 
 def _top_bits(words: np.ndarray) -> np.ndarray:
@@ -145,8 +145,6 @@ def _blocks(seed: int, n: int, rule, words: list[int], halves: list[int]):
     ``start`` reads each offset plus ``start`` from the generator reset to its seeded state, so a block is
     fixed by the seed, ``n`` and ``start`` alone.
     """
-    if not 1 <= n <= MAX_TRIALS:
-        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n}")
     bit_gen = np.random.default_rng(seed).bit_generator
     seeded = bit_gen.state
 
@@ -192,18 +190,26 @@ def _quantum_codes(e_table: CorrelatorTable, n_trials: int, seed: int):
     return _blocks(seed, n, rule, [(3 * n + 1) // 2], [0, n, 2 * n])
 
 
-def _tally(blocks) -> EstimatedTable:
-    """The estimate of the trials whose row codes ``blocks`` yields, tallied a block at a time."""
+def sample_experiment(source: LhvModel | CorrelatorTable, n_trials: int, seed: int, stream: IO[bytes] | None = None,
+                      keep: bool = False) -> tuple[EstimatedTable, TrialLog | None]:
+    """Draw ``n_trials`` trials from ``source``: the estimate, and the trials as a :class:`TrialLog` if ``keep``.
+
+    An :class:`LhvModel` is sampled as :func:`sample_lhv_experiment` documents, a :class:`CorrelatorTable` as
+    :func:`sample_quantum_experiment` does, in blocks of 10^4 trials. Each block is tallied, and written to the
+    binary ``stream`` as :func:`write_trial_log` writes it, before the next is drawn, so only a kept log (1 B per
+    trial) grows with ``n_trials``. A count outside ``[1, MAX_TRIALS]`` is refused before anything is allocated."""
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
+    blocks = (_lhv_codes if isinstance(source, LhvModel) else _quantum_codes)(source, n_trials, seed)
+    if stream is not None:
+        blocks = _logged(blocks, stream)
+    kept = np.empty(n_trials if keep else 0, dtype=np.int8)
     tally = np.zeros(16, dtype=np.int64)
-    for codes in blocks:
+    for start, codes in zip(range(0, n_trials, _BLOCK), blocks):
         tally += np.bincount(codes, minlength=16)
-    return _estimate(tally)
-
-
-def _experiment(blocks) -> tuple[EstimatedTable, TrialLog]:
-    kept = list(blocks)
-    codes = np.concatenate(kept)
-    return _tally(kept), TrialLog(1 + (codes >> 3), 1 + ((codes >> 2) & 1), 1 - (codes & 2), 1 - 2 * (codes & 1))
+        if keep:
+            kept[start:start + len(codes)] = codes
+    return _estimate(tally), TrialLog.__new__(TrialLog)._store(kept) if keep else None
 
 
 def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[EstimatedTable, TrialLog]:
@@ -230,7 +236,7 @@ def sample_lhv_experiment(m: LhvModel, n_trials: int, seed: int) -> tuple[Estima
     ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the estimate and the
     trials as a :class:`TrialLog`.
     """
-    return _experiment(_lhv_codes(m, n_trials, seed))
+    return sample_experiment(m, n_trials, seed, keep=True)
 
 
 def sample_quantum_experiment(
@@ -260,7 +266,7 @@ def sample_quantum_experiment(
     ``n_trials`` must lie in ``[1, MAX_TRIALS]``. Returns the estimate and the
     trials as a :class:`TrialLog`.
     """
-    return _experiment(_quantum_codes(e_table, n_trials, seed))
+    return sample_experiment(e_table, n_trials, seed, keep=True)
 
 
 TRIAL_LOG_HEADER = ("trial", "a_setting", "b_setting", "a_outcome", "b_outcome")

@@ -134,8 +134,8 @@ MAX_SWEEP_POINTS = 10_000
 #: took 1.6 s for ``sample``, 6.2 s with ``--trial-log /dev/null`` and 2.0 s
 #: for ``lhv --preset uniform16``, each at a 35-37 MB peak, as at one trial
 #: (best of 5, child RSS, from a launcher that imports nothing else). It stays
-#: at 1e8: the library samplers return every trial as a :class:`TrialLog`,
-#: about 8 bytes per trial at peak. Larger counts are refused before any draw.
+#: at 1e8 as the library samplers keep each trial in one byte, a 130 MiB peak
+#: at the bound. Larger counts are refused before any allocation or draw.
 MAX_TRIALS = 10**8
 
 

@@ -2,13 +2,15 @@
 
 Each block reads its own offsets of the seeded word stream, and is one
 formatting block of the trial log. At ``n`` one short of a block, one block,
-one past it and one past two blocks, three things hold:
+one past it and one past two blocks, four things hold:
 
 - the library's :class:`TrialLog` is the one the documented numpy draws
   rebuild, from the one generator the samplers build per run;
 - the trial log the CLI streams is byte-identical to ``write_trial_log`` of
   that log;
-- the estimate the CLI streams equals ``estimate_from_records`` of it.
+- the estimate the CLI streams equals ``estimate_from_records`` of it;
+- ``sample_experiment``, which both commands and both library samplers call, gives that estimate, log and
+  log bytes at once.
 """
 
 import io
@@ -24,6 +26,7 @@ from bellsim.lhv import (
     LhvModel,
     TrialLog,
     estimate_from_records,
+    sample_experiment,
     sample_lhv_experiment,
     sample_quantum_experiment,
     write_trial_log,
@@ -32,6 +35,12 @@ from stream_reference import WEIGHTS, lhv_draws, quantum_draws
 
 #: (k, d): n = k * _BLOCK + d, the samplers' block size being one 10^4-row formatting block of the trial log.
 SIZES = [(1, -1), (1, 0), (1, 1), (2, 1)]
+
+
+def driven(source, n: int, seed: int) -> tuple:
+    """The estimate, the kept log and the log bytes of one ``sample_experiment`` call."""
+    stream = io.BytesIO()
+    return (*sample_experiment(source, n, seed, stream=stream, keep=True), stream.getvalue())
 
 
 def logged(log: TrialLog) -> bytes:
@@ -58,6 +67,7 @@ def test_quantum_blocks(k, d, generators, tmp_path, capsys):
     assert estimate == estimate_from_records(log)
     assert report["results"]["estimate"] == _estimate_dict(estimate)
     assert log_bytes == logged(log)
+    assert driven(table, n, seed) == (estimate, log, log_bytes)
 
 
 @pytest.mark.parametrize("k, d", SIZES)
@@ -72,4 +82,4 @@ def test_lhv_blocks(k, d, generators, tmp_path, capsys):
     assert estimate == estimate_from_records(log)
     assert report["results"]["estimate"] == _estimate_dict(estimate)
     assert log_bytes == logged(log)
-
+    assert driven(LhvModel.from_pattern_weights(weights), n, seed) == (estimate, log, log_bytes)

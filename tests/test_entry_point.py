@@ -131,3 +131,24 @@ def test_max_trials_run_within_512_mib(argv, tmp_path):
         assert sum(map(int, summary.removeprefix("per-pair trials: ").split())) == 10**8
     else:
         assert summary.endswith("(100000000 trials, seed 0)")
+
+
+#: The two library samplers, each with the code of a source.
+LIBRARY = [("sample_quantum_experiment", "CorrelatorTable(0.5, 0.5, 0.5, -0.5)"),
+           ("sample_lhv_experiment", "LhvModel.uniform16()")]
+
+
+@pytest.mark.parametrize(("sampler", "source"), LIBRARY, ids=["quantum", "lhv"])
+def test_library_samplers_keep_max_trials_within_512_mib(sampler, source, tmp_path):
+    """A library sampler keeps one int8 row code per trial in one array filled block by block, so the log of
+    10^8 trials, the bound, fits under the same 512 MiB address-space limit as the commands."""
+    pytest.importorskip("resource")
+    limit = 512 << 20
+    code = (f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            f"from bellsim.lhv import MAX_TRIALS, CorrelatorTable, LhvModel, {sampler}\n"
+            f"estimate, log = {sampler}({source}, MAX_TRIALS, seed=0)\n"
+            "print(len(log), sum(estimate.counts))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{10**8} {10**8}\n"

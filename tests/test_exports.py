@@ -13,8 +13,8 @@ PUBLIC = {
         "optimize_settings_traced", "quantum_correlator", "singlet_correlator_analytic", "werner_threshold",
     ],
     "lhv": [
-        "EstimatedTable", "TrialLog", "estimate_from_records", "sample_lhv_experiment", "sample_quantum_experiment",
-        "write_trial_log",
+        "EstimatedTable", "TrialLog", "estimate_from_records", "sample_experiment", "sample_lhv_experiment",
+        "sample_quantum_experiment", "write_trial_log",
     ],
     "linalg": ["ComplexMatrix", "StateDiagnostics", "min_eigenvalue_hermitian", "validate"],
     "observables": ["UnitVector3", "X_AXIS", "Y_AXIS", "Z_AXIS", "from_polar", "spin_observable", "to_polar"],

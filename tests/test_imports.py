@@ -151,6 +151,15 @@ def _load_time_imports(tree: ast.Module) -> list[str]:
     return names
 
 
+def test_commands_sample_through_the_public_driver():
+    """The CLI imports one name from the samplers' module, the public ``sample_experiment`` that the library
+    samplers call too, so a wrapper of the library's public functions sees every sampled trial."""
+    trees = [ast.parse(path.read_text()) for path in (SRC / "bellsim").glob("cli*.py")]
+    imported = {alias.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "lhv" for alias in node.names}
+    assert imported == {"sample_experiment"}
+
+
 def test_only_linalg_and_lhv_import_numpy_when_they_load():
     """Every other module imports numpy inside the functions that need it; ``linalg``, which only a
     matrix state loads, and ``lhv``, which only the samplers load, need numpy in every function and

@@ -14,10 +14,13 @@ the bits of PCG64 and ``SeedSequence``, not only to numpy's ``integers``,
 ``random`` and ``choice``.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bellsim.chsh import CorrelatorTable, correlator_table, singlet_optimal_settings
+from bellsim.chsh import CorrelatorTable, aligned_settings, correlator_table, singlet_optimal_settings
 from bellsim.lhv import LhvModel, TrialLog, sample_lhv_experiment, sample_quantum_experiment
 from bellsim.states import make_singlet, make_werner
 from pcg64_reference import PCG64
@@ -84,5 +87,42 @@ def test_lhv_sampler_draws_as_stated_in_words(name, n):
 @pytest.mark.parametrize("name", TABLE_PANEL)
 def test_quantum_sampler_draws_as_stated_in_words(name, n):
     table, seed = TABLE_PANEL[name], 8000 + n
+    _, log = sample_quantum_experiment(table, n, seed)
+    assert log == TrialLog(*quantum_words(table, n, seed))
+
+
+#: Seeds over ``[0, 2^128)``, biased to 0 and to either side of 2^64, where a seed grows from two 32-bit words to three.
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, 2**64 + 1]), st.integers(0, 2**128 - 1))
+#: Trial counts up to one past two blocks, biased to the block edges.
+SIZES = st.one_of(st.sampled_from([9999, 10000, 10001, 20001]), st.integers(1, 20001))
+
+
+@st.composite
+def dyadic_weights(draw) -> list[float]:
+    """Weights ``k / 2^m`` that sum to exactly 1: the gaps between 15 sorted cuts of ``[0, 2^m]``."""
+    top = 2 ** draw(st.integers(0, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, top), min_size=15, max_size=15)))
+    return [(b - a) / top for a, b in zip([0, *cuts], [*cuts, top])]
+
+
+#: Points of the simplex: 16 floats in [0, 1], zeros included, divided by their sum.
+SIMPLEX = st.lists(st.floats(0, 1), min_size=16, max_size=16).filter(lambda w: math.fsum(w) > 0).map(
+    lambda w: [x / math.fsum(w) for x in w])
+#: Tables of the settings presets on Werner states over the whole visibility range.
+TABLES = st.builds(lambda p, preset: correlator_table(make_werner(p), preset()), st.floats(-1 / 3, 1),
+                   st.sampled_from([singlet_optimal_settings, aligned_settings]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights=st.one_of(dyadic_weights(), SIMPLEX), n=SIZES, seed=SEEDS)
+def test_lhv_sampler_matches_the_words_at_any_seed_and_size(weights, n, seed):
+    model = LhvModel.from_pattern_weights(weights)
+    _, log = sample_lhv_experiment(model, n, seed)
+    assert log == TrialLog(*lhv_words(model.weights, n, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=TABLES, n=SIZES, seed=SEEDS)
+def test_quantum_sampler_matches_the_words_at_any_seed_and_size(table, n, seed):
     _, log = sample_quantum_experiment(table, n, seed)
     assert log == TrialLog(*quantum_words(table, n, seed))

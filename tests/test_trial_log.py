@@ -1,8 +1,10 @@
-"""Contract of the columnar TrialLog the samplers return."""
+"""Contract of the TrialLog the samplers return: one read-only row code per trial, read as four columns."""
 
+import copy
 import io
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -52,6 +54,23 @@ def test_equality_in_both_directions():
     assert log != TrialLog(a_set, b_set, a_out, np.append(b_out[:-1], -b_out[-1]))
     assert log != TrialLog(a_set[:-1], b_set[:-1], a_out[:-1], b_out[:-1])
     assert log != columns(log) and log != list(columns(log))
+
+
+def test_a_log_cannot_be_changed_in_place():
+    """A log is a record: writing into a column it gives leaves it as it was, and its codes are read-only,
+    in its copies too and after a pickle round trip, which give a writable array unless the log freezes it."""
+    table = CorrelatorTable(0.5, 0.5, 0.5, -0.5)
+    _, sampled = sample_quantum_experiment(table, 100, seed=5)
+    _, fresh = sample_quantum_experiment(table, 100, seed=5)
+    built = TrialLog(*columns(fresh))
+    for log in (sampled, built, copy.copy(sampled), copy.deepcopy(built), pickle.loads(pickle.dumps(sampled))):
+        for column in columns(log):
+            column[:16] = 7
+        assert log == fresh
+        assert estimate_from_records(log) == estimate_from_records(fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            log.codes[:] = 0
+        assert log == fresh
 
 
 def test_log_rejects_malformed_columns():
